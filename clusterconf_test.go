@@ -33,19 +33,3 @@ func TestChaosClusterReplayable(t *testing.T) {
 			first.Stats.Failovers, first.Stats.ShardDeaths)
 	}
 }
-
-// TestClusterSingleShardInvisible is the full-stack N=1 invisibility
-// property: a VM running over a 1-shard cluster must be bit-identical —
-// readback digest, TraceJSON bytes, VM counters and manager counter
-// totals — to the same VM over a plain Manager.
-func TestClusterSingleShardInvisible(t *testing.T) {
-	apps := []string{"RED", "TRNS"}
-	if testing.Short() || raceEnabled {
-		apps = apps[:1]
-	}
-	for _, app := range apps {
-		if err := conformance.ClusterInvisibleProbe(app); err != nil {
-			t.Fatalf("%s: %v", app, err)
-		}
-	}
-}

@@ -7,8 +7,9 @@
 //
 //	vpim-manager -socket /tmp/vpim-manager.sock -ranks 8
 //
-// With -shards N (N > 1) the rank pool is federated across N manager
-// shards behind a placement router (power-of-two-choices by default):
+// The one manager splits its ranks into -shards pools (default 1), each
+// with its own rank table, queue and scheduler, behind a placement router
+// (power-of-two-choices by default):
 //
 //	vpim-manager -ranks 8 -shards 4 -placement p2c
 //
@@ -16,9 +17,14 @@
 //
 //	printf '{"op":"alloc","owner":"vm0"}\n' | nc -U /tmp/vpim-manager.sock
 //
+// A release names the rank's owner; the daemon refuses anyone else's:
+//
+//	printf '{"op":"release","owner":"vm0","rank":0}\n' | nc -U /tmp/vpim-manager.sock
+//
 // The METRICS verb returns the manager's counter snapshot (allocations
 // granted/parked/timed out, releases, resets, quarantines) as JSON; the
-// CLUSTER verb returns per-shard residency and routing counters:
+// CLUSTER verb returns per-pool residency and routing counters, one row
+// per pool:
 //
 //	printf '{"op":"cluster"}\n' | nc -U /tmp/vpim-manager.sock
 package main
@@ -47,8 +53,8 @@ func main() {
 		backoff   = flag.Float64("backoff", 2, "poll-interval multiplier per failed attempt")
 		sched     = flag.String("sched", "none", "oversubscription policy: none (FIFO wait) or slice (preemptive time-slicing)")
 		quantum   = flag.Duration("quantum", 5*time.Millisecond, "virtual runtime per slice before a tenant becomes preemptible (-sched slice)")
-		shards    = flag.Int("shards", 1, "manager shards to federate the rank pool across (1 = single manager)")
-		placement = flag.String("placement", "p2c", "cluster placement policy: p2c (power-of-two-choices) or rr (round-robin)")
+		shards    = flag.Int("shards", 1, "pools to split the ranks into, behind the placement router (capped at -ranks)")
+		placement = flag.String("placement", "p2c", "placement policy across pools: p2c (power-of-two-choices) or rr (round-robin)")
 		placeSeed = flag.Int64("placement-seed", 1, "seed of the p2c sampling stream (determinism)")
 	)
 	flag.Parse()
@@ -68,21 +74,23 @@ func main() {
 		os.Exit(2)
 	}
 	opts := manager.Options{
-		Threads:      *threads,
-		Retries:      *retries,
-		RetryTimeout: *timeout,
-		Backoff:      *backoff,
-		SchedPolicy:  policy,
-		Quantum:      *quantum,
+		Threads:       *threads,
+		Retries:       *retries,
+		RetryTimeout:  *timeout,
+		Backoff:       *backoff,
+		SchedPolicy:   policy,
+		Quantum:       *quantum,
+		Shards:        *shards,
+		Placement:     place,
+		PlacementSeed: *placeSeed,
 	}
-	copts := manager.ClusterOptions{Placement: place, Seed: *placeSeed}
-	if err := run(*socket, *ranks, *dpus, *shards, opts, copts); err != nil {
+	if err := run(*socket, *ranks, *dpus, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "vpim-manager:", err)
 		os.Exit(1)
 	}
 }
 
-func run(socket string, ranks, dpus, shards int, opts manager.Options, copts manager.ClusterOptions) error {
+func run(socket string, ranks, dpus int, opts manager.Options) error {
 	mach, err := pim.NewMachine(pim.MachineConfig{
 		Ranks: ranks,
 		Rank:  pim.RankConfig{DPUs: dpus},
@@ -90,39 +98,20 @@ func run(socket string, ranks, dpus, shards int, opts manager.Options, copts man
 	if err != nil {
 		return err
 	}
-	// The served arbiter is either a single manager or a sharded cluster;
-	// the wire protocol is identical except the extra `cluster` verb.
-	var arb manager.Arbiter
-	var observed interface {
-		StartObserver(time.Duration) *manager.Observer
-	}
-	if shards > 1 {
-		cl, err := manager.NewCluster(mach, shards, opts, copts)
-		if err != nil {
-			return err
-		}
-		arb, observed = cl, cl
-	} else {
-		mgr := manager.New(mach, opts)
-		arb, observed = mgr, mgr
-	}
+	mgr := manager.New(mach, opts)
 	// The observer thread erases released ranks in the background
 	// (Section 3.5).
-	obs := observed.StartObserver(100 * time.Millisecond)
+	obs := mgr.StartObserver(100 * time.Millisecond)
 	defer obs.Stop()
-	srv := manager.NewServer(arb)
+	srv := manager.NewServer(mgr)
 
 	_ = os.Remove(socket)
 	l, err := net.Listen("unix", socket)
 	if err != nil {
 		return err
 	}
-	if shards > 1 {
-		fmt.Printf("vpim-manager: %d ranks (%d DPUs each) across %d shards (%v placement), listening on %s\n",
-			ranks, dpus, shards, copts.Placement, socket)
-	} else {
-		fmt.Printf("vpim-manager: %d ranks (%d DPUs each), listening on %s\n", ranks, dpus, socket)
-	}
+	fmt.Printf("vpim-manager: %d ranks (%d DPUs each) in %d pool(s) (%v placement), listening on %s\n",
+		ranks, dpus, len(mgr.Stats().Shards), opts.Placement, socket)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -134,7 +123,7 @@ func run(socket string, ranks, dpus, shards int, opts manager.Options, copts man
 		fmt.Println("vpim-manager: shutting down")
 		// Close the manager first: waiters parked in the FIFO queue unwind
 		// immediately instead of sleeping out their retry budgets.
-		arb.Close()
+		mgr.Close()
 		srv.Shutdown()
 		<-done
 		return nil

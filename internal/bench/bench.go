@@ -36,9 +36,9 @@ type Config struct {
 	// Weak selects PrIM weak scaling (per-DPU share constant) instead of
 	// the paper's strong scaling.
 	Weak bool
-	// Shards federates the rank pool across N manager shards behind the
-	// cluster placement router (0 or 1 = a single manager, the default).
-	// Results must not change: sharding is invisible to the guest.
+	// Shards splits the manager's ranks into N pools behind its placement
+	// router (0 or 1 = one pool, the default). Results must not change:
+	// sharding is invisible to the guest.
 	Shards int
 }
 
@@ -69,20 +69,9 @@ func New(w io.Writer, cfg Config) *Harness {
 	return &Harness{w: w, cfg: cfg.withDefaults()}
 }
 
-// arbiter is the rank-management surface the harness drives: the
-// virtualized allocation interface, the native pool, and the maintenance
-// hooks the overhead figures exercise. Both the single Manager and the
-// sharded Cluster satisfy it.
-type arbiter interface {
-	manager.RankManager
-	native.RankPool
-	Release(r *pim.Rank) error
-	ProcessResets() time.Duration
-}
-
 // machine builds a fresh machine with all kernels registered, fronted by
-// a single manager or (Config.Shards > 1) a sharded cluster.
-func (h *Harness) machine() (*pim.Machine, arbiter, error) {
+// a manager over Config.Shards pools.
+func (h *Harness) machine() (*pim.Machine, *manager.Manager, error) {
 	mach, err := pim.NewMachine(pim.MachineConfig{
 		Ranks: h.cfg.Ranks,
 		Rank:  pim.RankConfig{DPUs: h.cfg.DPUsPerRank, MRAMBytes: h.cfg.MRAMBytes},
@@ -96,14 +85,7 @@ func (h *Harness) machine() (*pim.Machine, arbiter, error) {
 	if err := upmem.Register(mach.Registry()); err != nil {
 		return nil, nil, err
 	}
-	if h.cfg.Shards > 1 {
-		cl, err := manager.NewCluster(mach, h.cfg.Shards, manager.Options{}, manager.ClusterOptions{})
-		if err != nil {
-			return nil, nil, err
-		}
-		return mach, cl, nil
-	}
-	return mach, manager.New(mach, manager.Options{}), nil
+	return mach, manager.New(mach, manager.Options{Shards: h.cfg.Shards}), nil
 }
 
 // Result captures one run's virtual-time measurements.
@@ -177,11 +159,9 @@ func (h *Harness) RunVM(opts vmm.Options, vcpus int, fn func(env sdk.Env) error)
 		return Result{}, err
 	}
 	res := capture(vm)
-	for _, f := range vm.Frontends() {
-		res.Messages += f.Stats().Messages
-	}
-	res.Exits = vm.KVM().Exits()
 	res.Counters = obs.Aggregate(vm.Metrics())
+	res.Messages = res.Counters["frontend.messages"]
+	res.Exits = vm.KVM().Exits()
 	return res, nil
 }
 

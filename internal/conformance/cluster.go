@@ -1,46 +1,20 @@
-// Cluster conformance cell: the sharded rank pool behind the placement
+// Cluster conformance cell: sharding the rank pool behind the placement
 // router must be invisible to the guest. The cell runs one application on a
-// VM whose arbiter is an N-shard manager.Cluster and differentially
-// compares it against a single-manager twin: the readback digest must be
+// VM whose manager splits its ranks into N pools and differentially
+// compares it against a single-pool twin: the readback digest must be
 // bit-identical and the manager.* counter totals — recovered by summing the
-// per-shard snapshots the cluster tags with #shard<i> — must reconcile
-// exactly. ClusterInvisibleProbe sharpens the same claim for N = 1: a
-// one-shard cluster is indistinguishable from a plain Manager down to the
-// trace bytes.
+// per-pool snapshots the manager tags with #shard<i> — must reconcile
+// exactly.
 package conformance
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
-	"repro/internal/manager"
 	"repro/internal/obs"
-	"repro/internal/pim"
 	"repro/internal/prim"
 	"repro/internal/vmm"
 )
-
-// newClusterMachine builds a conformance machine fronted by an n-shard
-// cluster: the same geometry as newMachine, with the rank pool split into
-// contiguous per-shard slices and routed by deterministic seeded p2c.
-func newClusterMachine(n int) (*pim.Machine, *manager.Cluster, error) {
-	mach, err := pim.NewMachine(pim.MachineConfig{
-		Ranks: confRanks,
-		Rank:  pim.RankConfig{DPUs: confDPUs, MRAMBytes: confMRAMBytes},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := prim.Register(mach.Registry()); err != nil {
-		return nil, nil, err
-	}
-	cl, err := manager.NewCluster(mach, n, managerOpts(), manager.ClusterOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return mach, cl, nil
-}
 
 // managerTotals strips the cluster's own routing counters from an
 // aggregated snapshot, leaving only the manager.* totals that a plain
@@ -75,7 +49,9 @@ func diffCounters(label string, got, want map[string]int64) error {
 // runClusterCell executes app on a VM backed by a cfg.ClusterShards-shard
 // cluster and reconciles it against a single-manager twin.
 func runClusterCell(app prim.App, cfg Config) (runResult, error) {
-	mach, cl, err := newClusterMachine(cfg.ClusterShards)
+	opts := managerOpts()
+	opts.Shards = cfg.ClusterShards
+	mach, cl, err := newMachineWith(opts)
 	if err != nil {
 		return runResult{}, err
 	}
@@ -93,7 +69,7 @@ func runClusterCell(app prim.App, cfg Config) (runResult, error) {
 		return runResult{}, err
 	}
 
-	// Single-manager twin: identical machine, identical VM, plain Manager.
+	// Single-pool twin: identical machine, identical VM, unsharded manager.
 	mach2, mgr2, err := newMachine()
 	if err != nil {
 		return runResult{}, err
@@ -143,72 +119,4 @@ func runClusterCell(app prim.App, cfg Config) (runResult, error) {
 		return runResult{}, err
 	}
 	return res, nil
-}
-
-// ClusterInvisibleProbe runs app on a full-options traced VM twice — once
-// over a plain Manager, once over a 1-shard Cluster — and asserts the two
-// stacks are bit-identical: same readback digest, same TraceJSON bytes,
-// same VM counter aggregate, same manager.* counter totals. A one-shard
-// cluster must be a transparent wrapper.
-func ClusterInvisibleProbe(appName string) error {
-	app, err := prim.Lookup(appName)
-	if err != nil {
-		return err
-	}
-	type probe struct {
-		digest   Digest
-		trace    []byte
-		vmAgg    map[string]int64
-		mgrTotal map[string]int64
-	}
-	run := func(mach *pim.Machine, arb manager.RankManager, metrics func() map[string]int64) (probe, error) {
-		vm, err := vmm.NewVM(mach, arb, vmm.Config{
-			Name:    "probe",
-			VCPUs:   16,
-			VUPMEMs: confRanks,
-			Options: vmm.Full(),
-		})
-		if err != nil {
-			return probe{}, err
-		}
-		vm.EnableTracing()
-		dg, err := RunApp(vm, app, params())
-		if err != nil {
-			return probe{}, err
-		}
-		return probe{
-			digest:   dg,
-			trace:    vm.TraceJSON(),
-			vmAgg:    obs.Aggregate(vm.Metrics()),
-			mgrTotal: managerTotals(obs.Aggregate(metrics())),
-		}, nil
-	}
-
-	mach, mgr, err := newMachine()
-	if err != nil {
-		return err
-	}
-	plain, err := run(mach, mgr, mgr.Metrics)
-	if err != nil {
-		return fmt.Errorf("plain manager stack: %w", err)
-	}
-	mach2, cl, err := newClusterMachine(1)
-	if err != nil {
-		return err
-	}
-	sharded, err := run(mach2, cl, cl.Metrics)
-	if err != nil {
-		return fmt.Errorf("1-shard cluster stack: %w", err)
-	}
-
-	if plain.digest != sharded.digest {
-		return fmt.Errorf("1-shard cluster digest %v != plain manager digest %v", sharded.digest, plain.digest)
-	}
-	if !bytes.Equal(plain.trace, sharded.trace) {
-		return fmt.Errorf("1-shard cluster TraceJSON differs from plain manager (%d vs %d bytes)", len(sharded.trace), len(plain.trace))
-	}
-	if err := diffCounters("vm counters", sharded.vmAgg, plain.vmAgg); err != nil {
-		return err
-	}
-	return diffCounters("manager totals", sharded.mgrTotal, plain.mgrTotal)
 }

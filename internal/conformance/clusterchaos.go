@@ -1,7 +1,6 @@
-// Seeded chaos for the sharded rank cluster: a single-goroutine,
-// fully deterministic torture of Cluster.Alloc / Acquire / EndOp /
-// ReleaseOwned / MigrateOwned / Rebalance with eight owners spread over
-// three shards while rank deaths, failed resets, failed checkpoints,
+// Seeded chaos for the sharded manager: a single-goroutine, fully
+// deterministic torture of Manager.Alloc / Acquire / EndOp / ReleaseOwned /
+// MigrateOwned / Rebalance with eight owners spread over three pools while rank deaths, failed resets, failed checkpoints,
 // failed cross-shard restores and a whole-shard death fire from seeded
 // fuses. Every cluster interaction happens on the driving goroutine, so
 // routing decisions (the seeded p2c sampler), fuse consumption and the
@@ -111,19 +110,17 @@ func RunClusterChaos(seed int64) (*ClusterOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := manager.NewCluster(mach, clusterChaosShards, manager.Options{
-		SchedPolicy:  manager.SchedSlice,
-		Quantum:      4 * time.Millisecond,
-		Retries:      4,
-		RetryTimeout: time.Millisecond,
-		Backoff:      1,
-	}, manager.ClusterOptions{Seed: seed, FailoverBackoff: time.Millisecond})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < cl.NumShards(); i++ {
-		cl.Shard(i).SetFaultPolicy(plan.policy())
-	}
+	cl := manager.New(mach, manager.Options{
+		SchedPolicy:     manager.SchedSlice,
+		Quantum:         4 * time.Millisecond,
+		Retries:         4,
+		RetryTimeout:    time.Millisecond,
+		Backoff:         1,
+		Shards:          clusterChaosShards,
+		PlacementSeed:   seed,
+		FailoverBackoff: time.Millisecond,
+	})
+	cl.SetFaultPolicy(plan.policy())
 
 	out := &ClusterOutcome{Seed: seed}
 	logf := func(format string, args ...any) {
@@ -267,21 +264,18 @@ func RunClusterChaos(seed int64) (*ClusterOutcome, error) {
 	cl.ProcessResets()
 	cl.RetryQuarantined()
 	cl.ProcessResets()
-	for i := 0; i < cl.NumShards(); i++ {
-		if cl.ShardDead(i) {
+	for _, sh := range cl.Stats().Shards {
+		if sh.Dead {
 			continue
 		}
-		sh := cl.Shard(i)
-		for j, s := range sh.States() {
-			if s == manager.StateALLO {
-				return nil, fmt.Errorf("cluster chaos seed %d: shard %d rank %d still ALLO after drain (leaked allocation)", seed, i, j)
-			}
+		if sh.Resident != 0 {
+			return nil, fmt.Errorf("cluster chaos seed %d: shard %d has %d ranks still ALLO after drain (leaked allocation)", seed, sh.Index, sh.Resident)
 		}
-		if n := sh.Waiters(); n != 0 {
-			return nil, fmt.Errorf("cluster chaos seed %d: shard %d has %d waiters still parked after drain", seed, i, n)
+		if sh.Waiters != 0 {
+			return nil, fmt.Errorf("cluster chaos seed %d: shard %d has %d waiters still parked after drain", seed, sh.Index, sh.Waiters)
 		}
-		if parked := sh.Parked(); len(parked) != 0 {
-			return nil, fmt.Errorf("cluster chaos seed %d: shard %d snapshots permanently parked: %v", seed, i, parked)
+		if sh.Parked != 0 {
+			return nil, fmt.Errorf("cluster chaos seed %d: shard %d has %d snapshots permanently parked", seed, sh.Index, sh.Parked)
 		}
 	}
 

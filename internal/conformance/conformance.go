@@ -51,6 +51,12 @@ func managerOpts() manager.Options {
 // newMachine builds a fresh conformance machine with the PrIM kernels
 // registered and a retry-bounded manager.
 func newMachine() (*pim.Machine, *manager.Manager, error) {
+	return newMachineWith(managerOpts())
+}
+
+// newMachineWith builds the conformance machine fronted by a manager with
+// the given options.
+func newMachineWith(opts manager.Options) (*pim.Machine, *manager.Manager, error) {
 	mach, err := pim.NewMachine(pim.MachineConfig{
 		Ranks: confRanks,
 		Rank:  pim.RankConfig{DPUs: confDPUs, MRAMBytes: confMRAMBytes},
@@ -61,7 +67,7 @@ func newMachine() (*pim.Machine, *manager.Manager, error) {
 	if err := prim.Register(mach.Registry()); err != nil {
 		return nil, nil, err
 	}
-	return mach, manager.New(mach, managerOpts()), nil
+	return mach, manager.New(mach, opts), nil
 }
 
 // params sizes one application run for the conformance machine.

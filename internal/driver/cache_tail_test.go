@@ -55,12 +55,12 @@ func TestPrefetchCacheTruncatedTailWindow(t *testing.T) {
 	}
 
 	// Reads inside the truncated window still hit.
-	hitsBefore := front.Stats().CacheHits
+	hitsBefore := stats(vm, front).CacheHits
 	again := mkBuf(t, vm, int(page), 0)
 	if err := set.CopyFromMRAM(0, mram-page, again, int(page)); err != nil {
 		t.Fatal(err)
 	}
-	if front.Stats().CacheHits <= hitsBefore {
+	if stats(vm, front).CacheHits <= hitsBefore {
 		t.Error("repeat read inside the truncated window must hit the cache")
 	}
 	for i, b := range again.Data {

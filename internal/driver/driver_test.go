@@ -45,6 +45,29 @@ func stack(t *testing.T, opts vmm.Options) (*vmm.VM, *driver.Frontend, *sdk.Set)
 	return vm, vm.Frontends()[0], set
 }
 
+// frontStats is one frontend's activity as its VM's counter registry
+// reports it.
+type frontStats struct {
+	Messages       int64
+	CacheHits      int64
+	CacheFills     int64 // every miss fills a window
+	BatchedWrites  int64
+	BatchFlushes   int64
+	BatchFallbacks int64
+}
+
+func stats(vm *vmm.VM, front *driver.Frontend) frontStats {
+	m, tag := vm.Metrics(), "#"+front.ID()
+	return frontStats{
+		Messages:       m["frontend.messages"+tag],
+		CacheHits:      m["frontend.cache.hits"+tag],
+		CacheFills:     m["frontend.cache.misses"+tag],
+		BatchedWrites:  m["frontend.batch.appends"+tag],
+		BatchFlushes:   m["frontend.batch.flushes"+tag],
+		BatchFallbacks: m["frontend.batch.fallbacks"+tag],
+	}
+}
+
 func mkBuf(t *testing.T, vm *vmm.VM, n int, fill byte) hostmem.Buffer {
 	t.Helper()
 	buf, err := vm.AllocBuffer(n)
@@ -59,14 +82,14 @@ func mkBuf(t *testing.T, vm *vmm.VM, n int, fill byte) hostmem.Buffer {
 
 func TestBatchingDefersSmallWrites(t *testing.T) {
 	vm, front, set := stack(t, vmm.Options{Batch: true})
-	before := front.Stats()
+	before := stats(vm, front)
 	buf := mkBuf(t, vm, 256, 0x11)
 	for i := 0; i < 10; i++ {
 		if err := set.CopyToMRAM(0, int64(i*256), buf, 256); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := front.Stats()
+	st := stats(vm, front)
 	if st.BatchedWrites != 10 {
 		t.Errorf("batched writes = %d, want 10", st.BatchedWrites)
 	}
@@ -81,8 +104,8 @@ func TestBatchingDefersSmallWrites(t *testing.T) {
 	if err := set.CopyFromMRAM(0, 0, out, 2560); err != nil {
 		t.Fatal(err)
 	}
-	if front.Stats().BatchFlushes != 1 {
-		t.Errorf("flushes = %d after read", front.Stats().BatchFlushes)
+	if stats(vm, front).BatchFlushes != 1 {
+		t.Errorf("flushes = %d after read", stats(vm, front).BatchFlushes)
 	}
 	if !bytes.Equal(out.Data[:2560], bytes.Repeat([]byte{0x11}, 2560)) {
 		t.Error("flushed data not visible to the read")
@@ -95,7 +118,7 @@ func TestLargeWritesBypassBatch(t *testing.T) {
 	if err := set.CopyToMRAM(0, 0, buf, 64<<10); err != nil {
 		t.Fatal(err)
 	}
-	if front.Stats().BatchedWrites != 0 {
+	if stats(vm, front).BatchedWrites != 0 {
 		t.Error("64KB write must take the zero-copy path, not the batch")
 	}
 	// It must be immediately visible in MRAM.
@@ -119,7 +142,7 @@ func TestBatchOverflowFlushes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if front.Stats().BatchFlushes == 0 {
+	if stats(vm, front).BatchFlushes == 0 {
 		t.Error("overflowing the batch buffer must flush")
 	}
 }
@@ -135,7 +158,7 @@ func TestPrefetchCacheHitsAndInvalidation(t *testing.T) {
 	if err := set.CopyFromMRAM(0, 0, out, 256); err != nil {
 		t.Fatal(err)
 	}
-	st := front.Stats()
+	st := stats(vm, front)
 	if st.CacheFills != 1 || st.CacheHits != 0 {
 		t.Errorf("first read: fills=%d hits=%d, want 1/0", st.CacheFills, st.CacheHits)
 	}
@@ -145,7 +168,7 @@ func TestPrefetchCacheHitsAndInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st = front.Stats()
+	st = stats(vm, front)
 	if st.CacheFills != 1 {
 		t.Errorf("fills = %d, want still 1", st.CacheFills)
 	}
@@ -163,8 +186,8 @@ func TestPrefetchCacheHitsAndInvalidation(t *testing.T) {
 	if err := set.CopyFromMRAM(0, 0, out, 256); err != nil {
 		t.Fatal(err)
 	}
-	if front.Stats().CacheFills != 2 {
-		t.Errorf("fills after invalidating write = %d, want 2", front.Stats().CacheFills)
+	if stats(vm, front).CacheFills != 2 {
+		t.Errorf("fills after invalidating write = %d, want 2", stats(vm, front).CacheFills)
 	}
 }
 
@@ -178,7 +201,7 @@ func TestPrefetchReadBeyondWindowBypasses(t *testing.T) {
 	if err := set.CopyFromMRAM(0, 0, out, 128<<10); err != nil {
 		t.Fatal(err)
 	}
-	if front.Stats().CacheFills != 0 {
+	if stats(vm, front).CacheFills != 0 {
 		t.Error("reads larger than the cache window must bypass it")
 	}
 	if !bytes.Equal(out.Data[:128<<10], src.Data[:128<<10]) {
@@ -204,20 +227,20 @@ func TestCacheServesCorrectDataAfterBatchFlush(t *testing.T) {
 }
 
 func TestLaunchBootMessages(t *testing.T) {
-	_, front, set := stack(t, vmm.Options{})
+	vm, front, set := stack(t, vmm.Options{})
 	if err := set.Load("noop"); err != nil {
 		t.Fatal(err)
 	}
-	before := front.Stats().Messages
+	before := stats(vm, front).Messages
 	if err := set.Launch(); err != nil {
 		t.Fatal(err)
 	}
-	first := front.Stats().Messages - before
-	before = front.Stats().Messages
+	first := stats(vm, front).Messages - before
+	before = stats(vm, front).Messages
 	if err := set.Launch(); err != nil {
 		t.Fatal(err)
 	}
-	second := front.Stats().Messages - before
+	second := stats(vm, front).Messages - before
 	if first <= second {
 		t.Errorf("first launch after load (%d msgs) must exceed a relaunch (%d): the per-DPU boot sequence runs once", first, second)
 	}
@@ -271,7 +294,7 @@ func TestBatchOversizedWriteFallsBack(t *testing.T) {
 	if err := set.CopyToMRAM(0, 0, big, capacity+8); err != nil {
 		t.Fatal(err)
 	}
-	st := front.Stats()
+	st := stats(vm, front)
 	if st.BatchFallbacks != 1 {
 		t.Errorf("fallbacks = %d, want 1", st.BatchFallbacks)
 	}

@@ -119,9 +119,9 @@ type Frontend struct {
 	// has run (cleared by LoadProgram).
 	booted bool
 
-	// Registry-backed counters (Stats() is the compatibility view). New
-	// binds them into a private registry so a standalone frontend still
-	// counts; the VMM rebinds them into the per-VM registry via SetObs.
+	// Registry-backed counters. New binds them into a private registry so
+	// a standalone frontend still counts; the VMM rebinds them into the
+	// per-VM registry via SetObs, where they carry the device ID as tag.
 	rec             *obs.Recorder
 	cMessages       *obs.Counter
 	cControlRTs     *obs.Counter
@@ -142,23 +142,6 @@ type Frontend struct {
 // the differential harness catches a planted silent-corruption fault; it
 // must never be set outside tests.
 var TestHookBatchClip bool
-
-// Stats counts frontend activity for the evaluation harness.
-type Stats struct {
-	// Messages is the number of guest->VMM request chains sent.
-	Messages int64
-	// CacheHits and CacheFills count prefetch cache activity (every miss
-	// triggers a window fill, so CacheFills doubles as the miss count).
-	CacheHits  int64
-	CacheFills int64
-	// BatchedWrites counts writes absorbed into the batch buffer;
-	// BatchFlushes counts the messages that carried them; BatchFallbacks
-	// counts writes under the batch threshold whose packed record would
-	// not fit the batch buffer and were shipped unbatched instead.
-	BatchedWrites  int64
-	BatchFlushes   int64
-	BatchFallbacks int64
-}
 
 var _ sdk.Device = (*Frontend)(nil)
 
@@ -200,18 +183,6 @@ func (f *Frontend) SetObs(reg *obs.Registry, rec *obs.Recorder) {
 
 // ID reports the device identifier (used as the manager owner string).
 func (f *Frontend) ID() string { return f.id }
-
-// Stats returns a snapshot of the frontend counters.
-func (f *Frontend) Stats() Stats {
-	return Stats{
-		Messages:       f.cMessages.Load(),
-		CacheHits:      f.cCacheHits.Load(),
-		CacheFills:     f.cCacheMisses.Load(),
-		BatchedWrites:  f.cBatchAppends.Load(),
-		BatchFlushes:   f.cBatchFlushes.Load(),
-		BatchFallbacks: f.cBatchFallbacks.Load(),
-	}
-}
 
 // Attached reports whether a physical rank is currently linked.
 func (f *Frontend) Attached() bool { return f.attached }

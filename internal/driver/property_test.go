@@ -213,7 +213,7 @@ func TestBatchBoundaryRecordSizesProperty(t *testing.T) {
 			}
 			return false
 		}
-		if st := front.Stats(); st.BatchFallbacks != wantFallbacks {
+		if st := stats(vm, front); st.BatchFallbacks != wantFallbacks {
 			t.Logf("fallbacks = %d, want %d", st.BatchFallbacks, wantFallbacks)
 			return false
 		}

@@ -52,16 +52,16 @@ func TestFailedLaunchRepaysBootSequence(t *testing.T) {
 	}
 	vm.InjectChainFault(nil)
 
-	before := front.Stats().Messages
+	before := stats(vm, front).Messages
 	if err := set.Launch(); err != nil {
 		t.Fatal(err)
 	}
-	retry := front.Stats().Messages - before
-	before = front.Stats().Messages
+	retry := stats(vm, front).Messages - before
+	before = stats(vm, front).Messages
 	if err := set.Launch(); err != nil {
 		t.Fatal(err)
 	}
-	relaunch := front.Stats().Messages - before
+	relaunch := stats(vm, front).Messages - before
 	if retry <= relaunch {
 		t.Errorf("retry after a failed launch sent %d messages, a relaunch %d: the failed launch left the chips marked booted", retry, relaunch)
 	}

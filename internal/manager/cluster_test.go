@@ -18,32 +18,24 @@ func clusterOpts() Options {
 	return Options{Retries: 2, RetryTimeout: time.Millisecond, Backoff: 1}
 }
 
-func testCluster(t *testing.T, ranks, shards int, opts Options, copts ClusterOptions) *Cluster {
+func testCluster(t *testing.T, ranks, shards int, opts Options) *Manager {
 	t.Helper()
-	cl, err := NewCluster(testMachine(t, ranks), shards, opts, copts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl
+	opts.Shards = shards
+	return New(testMachine(t, ranks), opts)
 }
 
-// shardOf maps a global rank index to its shard under the contiguous even
-// split NewCluster performs (uniform pools in these tests).
-func shardOf(t *testing.T, cl *Cluster, r *pim.Rank) int {
+// shardOf maps a rank to the index of the pool that owns it.
+func shardOf(t *testing.T, m *Manager, r *pim.Rank) int {
 	t.Helper()
-	for i := 0; i < cl.NumShards(); i++ {
-		for _, s := range cl.Shard(i).ranks() {
-			if s.Index() == r.Index() {
-				return i
-			}
-		}
+	p := m.byRank[r]
+	if p == nil {
+		t.Fatalf("rank %d not owned by any shard", r.Index())
 	}
-	t.Fatalf("rank %d not owned by any shard", r.Index())
-	return -1
+	return p.index
 }
 
 func TestClusterPlacementSpreads(t *testing.T) {
-	cl := testCluster(t, 4, 2, clusterOpts(), ClusterOptions{})
+	cl := testCluster(t, 4, 2, clusterOpts())
 	for o := 0; o < 4; o++ {
 		if _, _, err := cl.Alloc(fmt.Sprintf("vm%d", o)); err != nil {
 			t.Fatalf("alloc vm%d: %v", o, err)
@@ -66,7 +58,9 @@ func TestClusterPlacementSpreads(t *testing.T) {
 }
 
 func TestClusterRoundRobin(t *testing.T) {
-	cl := testCluster(t, 4, 2, clusterOpts(), ClusterOptions{Placement: PlaceRR})
+	opts := clusterOpts()
+	opts.Placement = PlaceRR
+	cl := testCluster(t, 4, 2, opts)
 	want := []int{0, 1, 0, 1}
 	for o, w := range want {
 		r, _, err := cl.Alloc(fmt.Sprintf("vm%d", o))
@@ -83,7 +77,7 @@ func TestClusterRoundRobin(t *testing.T) {
 // the placement must stay sticky so the shard's same-owner NANA reuse path
 // hands back the very same rank without a reset.
 func TestClusterStickySameOwnerReuse(t *testing.T) {
-	cl := testCluster(t, 4, 2, clusterOpts(), ClusterOptions{})
+	cl := testCluster(t, 4, 2, clusterOpts())
 	r, _, err := cl.Alloc("vm0")
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +101,7 @@ func TestClusterStickySameOwnerReuse(t *testing.T) {
 // must route to the free shard instead of parking behind the full one, and
 // only a fully saturated cluster returns ErrNoRanks.
 func TestClusterParksOnlyWhenAllSaturated(t *testing.T) {
-	cl := testCluster(t, 2, 2, clusterOpts(), ClusterOptions{})
+	cl := testCluster(t, 2, 2, clusterOpts())
 	ra, _, err := cl.Alloc("a")
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +123,7 @@ func TestClusterParksOnlyWhenAllSaturated(t *testing.T) {
 // with its state), its next Alloc transparently lands on a surviving
 // shard, and the merged counters stay monotonic across the death.
 func TestClusterShardDeathFailover(t *testing.T) {
-	cl := testCluster(t, 2, 2, clusterOpts(), ClusterOptions{})
+	cl := testCluster(t, 2, 2, clusterOpts())
 	r, _, err := cl.Alloc("a")
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +136,7 @@ func TestClusterShardDeathFailover(t *testing.T) {
 	if err := obs.CheckMonotonic(prev, cl.Metrics()); err != nil {
 		t.Errorf("counters regressed across shard death: %v", err)
 	}
-	if !cl.ShardDead(home) {
+	if !cl.pools[home].dead.Load() {
 		t.Fatalf("shard %d not marked dead", home)
 	}
 	if _, _, err := cl.Acquire("a", r); !errors.Is(err, ErrRankFaulted) {
@@ -174,7 +168,8 @@ func TestClusterShardDeathFailover(t *testing.T) {
 func TestClusterShardDeathRedistributesWaiter(t *testing.T) {
 	opts := clusterOpts()
 	opts.Retries = 400
-	cl := testCluster(t, 2, 2, opts, ClusterOptions{FailoverBackoff: time.Millisecond})
+	opts.FailoverBackoff = time.Millisecond
+	cl := testCluster(t, 2, 2, opts)
 	ra, _, err := cl.Alloc("a")
 	if err != nil {
 		t.Fatal(err)
@@ -196,8 +191,8 @@ func TestClusterShardDeathRedistributesWaiter(t *testing.T) {
 	waitShard := -1
 	deadline := time.Now().Add(2 * time.Second)
 	for waitShard < 0 && time.Now().Before(deadline) {
-		for i := 0; i < cl.NumShards(); i++ {
-			if cl.Shard(i).Waiters() > 0 {
+		for i := range cl.pools {
+			if cl.pools[i].Waiters() > 0 {
 				waitShard = i
 			}
 		}
@@ -243,7 +238,7 @@ func TestClusterShardDeathRedistributesWaiter(t *testing.T) {
 func TestClusterRebalanceMovesParkedTenant(t *testing.T) {
 	opts := clusterOpts()
 	opts.Retries = 400
-	cl := testCluster(t, 2, 2, opts, ClusterOptions{})
+	cl := testCluster(t, 2, 2, opts)
 	ra, _, err := cl.Alloc("a")
 	if err != nil {
 		t.Fatal(err)
@@ -271,8 +266,8 @@ func TestClusterRebalanceMovesParkedTenant(t *testing.T) {
 	hot := -1
 	deadline := time.Now().Add(2 * time.Second)
 	for hot < 0 && time.Now().Before(deadline) {
-		for i := 0; i < cl.NumShards(); i++ {
-			if cl.Shard(i).Waiters() > 0 {
+		for i := range cl.pools {
+			if cl.pools[i].Waiters() > 0 {
 				hot = i
 			}
 		}
@@ -328,7 +323,7 @@ func TestClusterRebalanceMovesParkedTenant(t *testing.T) {
 // shard counter with #shard<i> and that obs.Aggregate recovers the plain
 // manager totals from the merged map.
 func TestClusterMetricsMergeShardTags(t *testing.T) {
-	cl := testCluster(t, 4, 2, clusterOpts(), ClusterOptions{})
+	cl := testCluster(t, 4, 2, clusterOpts())
 	if _, _, err := cl.Alloc("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -372,12 +367,11 @@ func errKind(err error) string {
 	}
 }
 
-// TestClusterSingleShardLockstep is the N=1 invisibility property at the
-// API level: an arbitrary operation trace applied in lockstep to a plain
-// Manager and to a 1-shard Cluster must produce identical grants, identical
-// error classes, identical rank states and identical manager.* counter
-// totals at every step. (The full-stack version — digests and trace bytes —
-// lives in the conformance package.)
+// TestClusterSingleShardLockstep pins the N=1 case at the API level: an
+// arbitrary operation trace applied in lockstep to a bare pool and to a
+// one-pool Manager must produce identical grants, identical error classes,
+// identical rank states and identical counters — the same keys, untagged —
+// at every step, across all six RankManager methods.
 func TestClusterSingleShardLockstep(t *testing.T) {
 	opts := Options{
 		SchedPolicy:  SchedSlice,
@@ -386,8 +380,9 @@ func TestClusterSingleShardLockstep(t *testing.T) {
 		RetryTimeout: time.Millisecond,
 		Backoff:      1,
 	}
-	mgr := New(testMachine(t, 2), opts)
-	cl := testCluster(t, 2, 1, opts, ClusterOptions{})
+	mach := testMachine(t, 2)
+	ref := newPool(0, mach.Ranks(), mach.Model().ManagerAllocLatency, opts.withDefaults(), nil)
+	cl := testCluster(t, 2, 1, opts)
 
 	const owners = 3
 	const steps = 200
@@ -405,28 +400,29 @@ func TestClusterSingleShardLockstep(t *testing.T) {
 	for step := 0; step < steps; step++ {
 		o := next(owners)
 		tn := &tenants[o]
-		switch next(4) {
+		switch next(5) {
 		case 0: // alloc or acquire
 			if tn.mRank == nil {
-				mr, mlat, merr := mgr.Alloc(name(o))
+				mr, mwait, mck, merr := ref.alloc(name(o), allocHooks{})
+				mlat := mwait + mck
 				cr, clat, cerr := cl.Alloc(name(o))
 				if errKind(merr) != errKind(cerr) || mlat != clat {
-					t.Fatalf("step %d: alloc diverged: manager (%v, %v) vs cluster (%v, %v)", step, mlat, merr, clat, cerr)
+					t.Fatalf("step %d: alloc diverged: pool (%v, %v) vs manager (%v, %v)", step, mlat, merr, clat, cerr)
 				}
 				if merr == nil {
 					if mr.Index() != cr.Index() {
 						t.Fatalf("step %d: alloc granted rank %d vs %d", step, mr.Index(), cr.Index())
 					}
 					tn.mRank, tn.cRank = mr, cr
-					mgr.EndOp(mr, time.Millisecond)
+					ref.EndOp(mr, time.Millisecond)
 					cl.EndOp(cr, time.Millisecond)
 				}
 				continue
 			}
-			mr, mc, merr := mgr.Acquire(name(o), tn.mRank)
+			mr, mc, merr := ref.Acquire(name(o), tn.mRank)
 			cr, cc, cerr := cl.Acquire(name(o), tn.cRank)
 			if errKind(merr) != errKind(cerr) || mc != cc {
-				t.Fatalf("step %d: acquire diverged: manager (%+v, %v) vs cluster (%+v, %v)", step, mc, merr, cc, cerr)
+				t.Fatalf("step %d: acquire diverged: pool (%+v, %v) vs manager (%+v, %v)", step, mc, merr, cc, cerr)
 			}
 			if merr != nil {
 				if errors.Is(merr, ErrRankFaulted) {
@@ -438,13 +434,13 @@ func TestClusterSingleShardLockstep(t *testing.T) {
 				t.Fatalf("step %d: acquire landed on rank %d vs %d", step, mr.Index(), cr.Index())
 			}
 			tn.mRank, tn.cRank = mr, cr
-			mgr.EndOp(mr, 3*time.Millisecond)
+			ref.EndOp(mr, 3*time.Millisecond)
 			cl.EndOp(cr, 3*time.Millisecond)
 		case 1: // release
 			if tn.mRank == nil {
 				continue
 			}
-			merr := mgr.ReleaseOwned(name(o), tn.mRank)
+			merr := ref.ReleaseOwned(name(o), tn.mRank)
 			cerr := cl.ReleaseOwned(name(o), tn.cRank)
 			if errKind(merr) != errKind(cerr) {
 				t.Fatalf("step %d: release diverged: %v vs %v", step, merr, cerr)
@@ -454,7 +450,7 @@ func TestClusterSingleShardLockstep(t *testing.T) {
 			if tn.mRank == nil {
 				continue
 			}
-			md, mlat, merr := mgr.MigrateOwned(name(o), tn.mRank)
+			md, mlat, merr := ref.MigrateOwned(name(o), tn.mRank)
 			cd, clat, cerr := cl.MigrateOwned(name(o), tn.cRank)
 			if errKind(merr) != errKind(cerr) || mlat != clat {
 				t.Fatalf("step %d: migrate diverged: (%v, %v) vs (%v, %v)", step, mlat, merr, clat, cerr)
@@ -465,27 +461,37 @@ func TestClusterSingleShardLockstep(t *testing.T) {
 				}
 				tn.mRank, tn.cRank = md, cd
 			}
+		case 3: // discard a preempted tenant's parked state
+			md, cd := ref.Discard(name(o)), cl.Discard(name(o))
+			if md != cd {
+				t.Fatalf("step %d: discard diverged: %v vs %v", step, md, cd)
+			}
+			if md {
+				tn.mRank, tn.cRank = nil, nil
+			}
 		default: // observer tick
-			mgr.ProcessResets()
+			ref.ProcessResets()
 			cl.ProcessResets()
-			mgr.RetryQuarantined()
+			ref.RetryQuarantined()
 			cl.RetryQuarantined()
 		}
-		ms, cs := mgr.States(), cl.States()
+		ms, cs := ref.table(), cl.States()
 		if len(ms) != len(cs) {
 			t.Fatalf("step %d: state table length %d vs %d", step, len(ms), len(cs))
 		}
 		for i := range ms {
-			if ms[i] != cs[i] {
-				t.Fatalf("step %d: rank %d state %v vs %v", step, i, ms[i], cs[i])
+			if ms[i].state != cs[i] {
+				t.Fatalf("step %d: rank %d state %v vs %v", step, i, ms[i].state, cs[i])
 			}
 		}
 	}
-	want := mgr.Metrics()
-	got := obs.Aggregate(cl.Metrics())
+	want, got := ref.reg.Snapshot(), cl.Metrics()
+	if len(got) != len(want) {
+		t.Errorf("manager reports %d counters, the pool %d", len(got), len(want))
+	}
 	for k, w := range want {
-		if got[k] != w {
-			t.Errorf("counter %s = %d, want %d", k, got[k], w)
+		if g, ok := got[k]; !ok || g != w {
+			t.Errorf("counter %s = %d (present %v), want %d", k, g, ok, w)
 		}
 	}
 }
@@ -498,16 +504,13 @@ func TestClusterSingleShardLockstep(t *testing.T) {
 func TestClusterStressNoLeaks(t *testing.T) {
 	const owners = 8
 	const iters = 50
-	cl, err := NewCluster(testMachine(t, 6), 3, Options{
+	cl := testCluster(t, 6, 3, Options{
 		SchedPolicy:  SchedSlice,
 		Quantum:      200 * time.Microsecond,
 		Retries:      10,
 		RetryTimeout: time.Millisecond,
 		Backoff:      1,
-	}, ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	var wg sync.WaitGroup
 	errs := make(chan error, owners)
 	for o := 0; o < owners; o++ {
@@ -582,10 +585,10 @@ func TestClusterStressNoLeaks(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.ProcessResets()
-	for i := 0; i < cl.NumShards(); i++ {
-		sh := cl.Shard(i)
-		for j, st := range sh.States() {
-			if st == StateALLO {
+	for i := range cl.pools {
+		sh := cl.pools[i]
+		for j, e := range sh.table() {
+			if e.state == StateALLO {
 				t.Errorf("shard %d rank %d leaked ALLO after all owners drained", i, j)
 			}
 		}

@@ -15,12 +15,45 @@
 // the oldest waiting request. Only the time actually slept is charged on the
 // virtual clock. A FaultPolicy can inject rank failures; failed ranks are
 // quarantined (QUAR) rather than handed to tenants.
+//
+// One Manager is the host's only rank arbiter. It splits the machine's
+// ranks into Options.Shards disjoint pools (one by default), each with its
+// own rank table, FIFO queue and scheduler, so the one piece the paper
+// leaves centralized scales out without the guest noticing:
+//
+//   - Placement. Allocations are routed power-of-two-choices on current
+//     load (or round-robin under PlaceRR): sample two pools, send the
+//     request to the one with more free ranks and fewer waiters. An
+//     owner's placement is sticky — its parked snapshots, NANA reuse rank
+//     and scheduling account all live in its home pool — but an owner
+//     whose home is saturated is re-placed rather than parked when another
+//     pool has a free rank. A request parks only when every live pool is
+//     saturated.
+//
+//   - Rebalancing. Rebalance drains hot pools (waiters queued) into cold
+//     ones (free ranks) through the preemption machinery: the hot pool
+//     checkpoints its longest-running tenant, the snapshot parks on the
+//     cold pool and the owner's placement follows; the tenant's next
+//     operation restores there. MigrateOwned crosses pools the same way
+//     when the home pool has no target, but restores eagerly.
+//
+//   - Failure domains. A pool dies as a unit (KillShard): its waiters are
+//     re-placed onto surviving pools (bounded retry with backoff, counted
+//     on cluster.failovers), its ranks report quarantined, and owners whose
+//     state lived there see ErrRankFaulted on their next operation — the
+//     contract of a rank death, which the backend already fails over from.
+//
+// With one pool every request routes to it and the counters read exactly
+// as a single rank table's.
 package manager
 
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -99,6 +132,21 @@ type Options struct {
 	// Quantum is the virtual runtime a tenant may accumulate on a rank
 	// before it becomes preemptible under SchedSlice; 0 selects 5 ms.
 	Quantum time.Duration
+	// Shards splits the machine's ranks into this many disjoint contiguous
+	// pools behind the placement router. Values below 1 select 1; values
+	// above the rank count are capped at it (New is the one place that
+	// applies this rule).
+	Shards int
+	// Placement selects how new owners are routed to pools (default
+	// PlaceP2C).
+	Placement PlacementPolicy
+	// PlacementSeed seeds PlaceP2C's sampling stream; runs with equal seeds
+	// and equal request interleavings place identically. 0 selects 1.
+	PlacementSeed int64
+	// FailoverBackoff is the pause before re-placing an allocation whose
+	// pool died; the requester really sleeps it and is charged it on the
+	// virtual clock. 0 selects 2 ms.
+	FailoverBackoff time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -120,13 +168,23 @@ func (o Options) withDefaults() Options {
 	if o.Quantum == 0 {
 		o.Quantum = 5 * time.Millisecond
 	}
+	if o.PlacementSeed == 0 {
+		o.PlacementSeed = 1
+	}
+	if o.FailoverBackoff == 0 {
+		o.FailoverBackoff = 2 * time.Millisecond
+	}
 	return o
 }
 
+// failoverRetries bounds how many times an allocation interrupted by a pool
+// death is re-placed onto surviving pools before the error surfaces.
+const failoverRetries = 2
+
 // FaultPolicy injects failures into the manager for robustness testing
 // (chaos-style fault injection). All hooks are optional and must be safe for
-// concurrent use; they are consulted with the manager lock held, so they
-// must not call back into the manager.
+// concurrent use; they are consulted with a pool lock held, so they must
+// not call back into the manager.
 type FaultPolicy struct {
 	// FailReset reports whether erasing the given rank fails. A failed
 	// reset quarantines the rank instead of returning it to the pool.
@@ -148,470 +206,588 @@ type FaultPolicy struct {
 	FailRestore func(rank int) bool
 }
 
-type entry struct {
-	rank      *pim.Rank
-	state     RankState
-	owner     string
-	prevOwner string
-	// pins counts operations in flight on an ALLO rank (Acquire/EndOp);
-	// the scheduler never preempts a pinned rank.
-	pins int
-	// debt is checkpoint work performed to free this rank that nobody has
-	// been charged for yet; the next grantee (or the observer's reset
-	// pass) absorbs it into its virtual clock.
-	debt time.Duration
+// RankManager is the allocation surface a device backend drives; the VMM
+// layers above see only this.
+type RankManager interface {
+	// Alloc reserves one rank for owner (blocking, FIFO per pool).
+	Alloc(owner string) (*pim.Rank, time.Duration, error)
+	// Acquire pins owner's rank for one operation, restoring parked
+	// preemption state if needed.
+	Acquire(owner string, r *pim.Rank) (*pim.Rank, AcquireCost, error)
+	// EndOp unpins a rank and charges elapsed runtime to its owner.
+	EndOp(r *pim.Rank, elapsed time.Duration)
+	// ReleaseOwned returns owner's rank (or discards its parked state).
+	ReleaseOwned(owner string, r *pim.Rank) error
+	// MigrateOwned consolidates owner's rank onto another rank.
+	MigrateOwned(owner string, from *pim.Rank) (*pim.Rank, time.Duration, error)
+	// Discard drops owner's parked snapshot without an allocation.
+	Discard(owner string) bool
 }
 
-// waiter is one queued allocation request. The grant is delivered through
-// ready (buffered, sent exactly once, always under the manager lock).
-type waiter struct {
-	owner string
-	ready chan grant
+var _ RankManager = (*Manager)(nil)
+
+// PlacementPolicy selects how the manager routes new owners to pools.
+type PlacementPolicy int
+
+const (
+	// PlaceP2C samples two pools and picks the less loaded
+	// (power-of-two-choices): near-optimal load spread at O(1) cost.
+	PlaceP2C PlacementPolicy = iota
+	// PlaceRR routes new owners round-robin over live pools, ignoring
+	// load (the predictable baseline).
+	PlaceRR
+)
+
+// String implements fmt.Stringer.
+func (p PlacementPolicy) String() string {
+	switch p {
+	case PlaceP2C:
+		return "p2c"
+	case PlaceRR:
+		return "rr"
+	default:
+		return fmt.Sprintf("placement(%d)", int(p))
+	}
 }
 
-// grant is the outcome handed to a waiter: a rank plus the extra virtual
-// cost its preparation incurred (a reset, and/or the checkpoint debt of a
-// preempted previous tenant), or a terminal error.
-type grant struct {
-	rank  *pim.Rank
-	extra time.Duration
-	ck    time.Duration // absorbed checkpoint debt (reported separately)
-	err   error
+// ParsePlacement maps the -placement flag values to policies.
+func ParsePlacement(s string) (PlacementPolicy, error) {
+	switch s {
+	case "p2c", "":
+		return PlaceP2C, nil
+	case "rr":
+		return PlaceRR, nil
+	default:
+		return 0, fmt.Errorf("manager: unknown placement policy %q (want p2c or rr)", s)
+	}
 }
 
-// allocHooks observes a blocking allocation's park/unpark transitions so the
-// server can hand its request-pool slot back while the allocation waits.
-// Both hooks are called without the manager lock held.
-type allocHooks struct {
-	park   func()
-	unpark func()
-}
-
-// Manager is the rank table plus allocation policy. All methods are safe for
-// concurrent use.
+// Manager is the host's rank arbiter: N ≥ 1 pools behind one placement
+// router. All methods are safe for concurrent use. The manager never holds
+// its own lock across a blocking pool call; pools and byRank are immutable
+// after construction.
 type Manager struct {
-	opts         Options
-	allocLatency time.Duration
+	opts   Options
+	pools  []*pool
+	byRank map[*pim.Rank]*pool // routes rank-keyed calls
+	closed atomic.Bool
 
-	mu      sync.Mutex
-	entries []entry
-	rrNext  int
-	waiters []*waiter
-	closed  bool
-	fault   *FaultPolicy
+	mu        sync.Mutex
+	placement map[string]*pool // owner -> home pool
+	rng       *rand.Rand
+	rrNext    int
 
-	// Time-slicing scheduler state (scheduler.go): parked snapshots of
-	// preempted tenants, per-owner quantum accounts, and the aging level
-	// of the current head waiter.
-	parked       map[string]*parkedSnap
-	stats        map[string]*ownerStat
-	schedStarved int
-
-	// Registry-backed counters; the METRICS socket verb snapshots reg.
-	reg          *obs.Registry
-	cGranted     *obs.Counter
-	cParked      *obs.Counter
-	cTimedout    *obs.Counter
-	cReleases    *obs.Counter
-	cResets      *obs.Counter
-	cQuarantines *obs.Counter
-	cPreempt     *obs.Counter
-	cRestores    *obs.Counter
-	cSchedWait   *obs.Counter
-	cMigrations  *obs.Counter
+	reg         *obs.Registry
+	cPlacements *obs.Counter
+	cRebalances *obs.Counter
+	cFailovers  *obs.Counter
+	cDeaths     *obs.Counter
 }
 
-// New builds a manager over the machine's ranks; all start NAAV.
+// New builds the manager over the machine's ranks, all NAAV, split into
+// opts.Shards contiguous pools of near-equal size.
 func New(machine *pim.Machine, opts Options) *Manager {
-	return NewOver(machine, machine.Ranks(), opts)
-}
-
-// NewOver builds a manager owning just the given subset of the machine's
-// ranks: the shard constructor of cluster mode (cluster.go). The subset
-// managers of one machine must be disjoint; New covers the whole machine.
-func NewOver(machine *pim.Machine, ranks []*pim.Rank, opts Options) *Manager {
-	entries := make([]entry, len(ranks))
-	for i, r := range ranks {
-		entries[i] = entry{rank: r, state: StateNAAV}
-	}
+	opts = opts.withDefaults()
+	ranks := machine.Ranks()
+	n := max(1, min(opts.Shards, len(ranks)))
 	reg := obs.NewRegistry()
-	return &Manager{
-		opts:         opts.withDefaults(),
-		allocLatency: machine.Model().ManagerAllocLatency,
-		entries:      entries,
-		parked:       make(map[string]*parkedSnap),
-		stats:        make(map[string]*ownerStat),
-		reg:          reg,
-		cGranted:     reg.Counter("manager.allocs.granted"),
-		cParked:      reg.Counter("manager.allocs.parked"),
-		cTimedout:    reg.Counter("manager.allocs.timedout"),
-		cReleases:    reg.Counter("manager.releases"),
-		cResets:      reg.Counter("manager.resets"),
-		cQuarantines: reg.Counter("manager.quarantines"),
-		cPreempt:     reg.Counter("manager.preemptions"),
-		cRestores:    reg.Counter("manager.restores"),
-		cSchedWait:   reg.Counter("manager.sched.wait"),
-		cMigrations:  reg.Counter("manager.migrations"),
+	m := &Manager{
+		opts:        opts,
+		byRank:      make(map[*pim.Rank]*pool, len(ranks)),
+		placement:   make(map[string]*pool),
+		rng:         rand.New(rand.NewSource(opts.PlacementSeed)),
+		reg:         reg,
+		cPlacements: reg.Counter("cluster.placements"),
+		cRebalances: reg.Counter("cluster.rebalances"),
+		cFailovers:  reg.Counter("cluster.failovers"),
+		cDeaths:     reg.Counter("cluster.shard.deaths"),
+	}
+	lo := 0
+	for i := 0; i < n; i++ {
+		size := len(ranks) / n
+		if i < len(ranks)%n {
+			size++
+		}
+		slice := ranks[lo : lo+size]
+		lo += size
+		p := newPool(i, slice, machine.Model().ManagerAllocLatency, opts,
+			reg.Counter(fmt.Sprintf("cluster.shard%d.placements", i)))
+		for _, r := range slice {
+			m.byRank[r] = p
+		}
+		m.pools = append(m.pools, p)
+	}
+	return m
+}
+
+// Metrics snapshots the manager's counters (the METRICS socket verb). With
+// one pool these are the pool's manager.* counters. With more, the routing
+// counters (cluster.*) join every pool's counters tagged "#shard<i>", so
+// obs.Aggregate recovers the totals; a dead pool keeps reporting its final
+// values, preserving monotonicity.
+func (m *Manager) Metrics() map[string]int64 {
+	if len(m.pools) == 1 {
+		return m.pools[0].reg.Snapshot()
+	}
+	out := m.reg.Snapshot()
+	for _, p := range m.pools {
+		tag := fmt.Sprintf("#shard%d", p.index)
+		for k, v := range p.reg.Snapshot() {
+			out[k+tag] = v
+		}
+	}
+	return out
+}
+
+// SetFaultPolicy installs (or, with nil, removes) the fault-injection hooks
+// on every pool.
+func (m *Manager) SetFaultPolicy(p *FaultPolicy) {
+	for _, pl := range m.pools {
+		pl.mu.Lock()
+		pl.fault = p
+		pl.mu.Unlock()
 	}
 }
 
-// Metrics snapshots the manager's counters (the METRICS socket verb).
-func (m *Manager) Metrics() map[string]int64 {
-	return m.reg.Snapshot()
+// live lists the pools still in service.
+func (m *Manager) live() []*pool {
+	out := make([]*pool, 0, len(m.pools))
+	for _, p := range m.pools {
+		if !p.dead.Load() {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
-// SetFaultPolicy installs (or, with nil, removes) the fault-injection hooks.
-func (m *Manager) SetFaultPolicy(p *FaultPolicy) {
-	m.mu.Lock()
-	m.fault = p
-	m.mu.Unlock()
+// ---------------------------------------------------------------------------
+// Placement.
+
+// poolLoad is one pool's instantaneous routing signal.
+type poolLoad struct {
+	p       *pool
+	free    int // usable NAAV+NANA ranks
+	allo    int
+	waiters int
 }
+
+// less orders loads: more free capacity first, then fewer waiters, then
+// fewer residents, then lower index (a deterministic total order).
+func (a poolLoad) less(b poolLoad) bool {
+	if a.free != b.free {
+		return a.free > b.free
+	}
+	if a.waiters != b.waiters {
+		return a.waiters < b.waiters
+	}
+	if a.allo != b.allo {
+		return a.allo < b.allo
+	}
+	return a.p.index < b.p.index
+}
+
+// loads snapshots every live pool's routing signal, in pool order.
+func (m *Manager) loads() []poolLoad {
+	var out []poolLoad
+	for _, p := range m.live() {
+		free, allo, waiters := p.loadSnapshot()
+		out = append(out, poolLoad{p: p, free: free, allo: allo, waiters: waiters})
+	}
+	return out
+}
+
+// pickLocked chooses a pool for a fresh placement. Candidates are live
+// pools with free capacity; only when none has a free rank does every live
+// pool qualify (the request then parks, or is served by the pool's
+// preemptive scheduler). Returns nil when no live pool exists.
+func (m *Manager) pickLocked() *pool {
+	loads := m.loads()
+	if len(loads) == 0 {
+		return nil
+	}
+	var cands []poolLoad
+	for _, l := range loads {
+		if l.free > 0 {
+			cands = append(cands, l)
+		}
+	}
+	if len(cands) == 0 {
+		cands = loads
+	}
+	if m.opts.Placement == PlaceRR {
+		pick := cands[m.rrNext%len(cands)]
+		m.rrNext++
+		return pick.p
+	}
+	if len(cands) == 1 {
+		return cands[0].p
+	}
+	// Power of two choices: sample two distinct candidates, keep the less
+	// loaded one.
+	i := m.rng.Intn(len(cands))
+	j := m.rng.Intn(len(cands) - 1)
+	if j >= i {
+		j++
+	}
+	if cands[j].less(cands[i]) {
+		return cands[j].p
+	}
+	return cands[i].p
+}
+
+// place resolves owner's target pool for an allocation, re-placing when
+// the home pool is dead (a failover) or saturated while capacity exists
+// elsewhere. The returned pool may still park the request — but only if
+// every live pool was saturated at decision time.
+func (m *Manager) place(owner string) (*pool, error) {
+	if m.closed.Load() {
+		return nil, ErrClosed
+	}
+	if len(m.pools) == 1 {
+		if p, _ := m.home(owner); p != nil {
+			return p, nil
+		}
+		return nil, fmt.Errorf("%w: no live shard", ErrNoRanks)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if p, ok := m.placement[owner]; ok {
+		if p.dead.Load() {
+			// The owner's state died with its pool; route the fresh
+			// allocation elsewhere.
+			delete(m.placement, owner)
+			m.cFailovers.Inc()
+		} else {
+			free, _, _ := p.loadSnapshot()
+			if free > 0 || p.hasParked(owner) || m.coldest(p) == nil {
+				// Home has room or holds the owner's state, or nowhere
+				// else has a free rank: the home queue is the right place
+				// to wait.
+				return p, nil
+			}
+			delete(m.placement, owner)
+		}
+	}
+	p := m.pickLocked()
+	if p == nil {
+		return nil, fmt.Errorf("%w: no live shard", ErrNoRanks)
+	}
+	m.placement[owner] = p
+	m.cPlacements.Inc()
+	p.placed.Inc()
+	return p, nil
+}
+
+// home returns owner's current home pool, nil when unplaced. Reports
+// dead=true (and forgets the placement) when the home pool was killed. The
+// only pool of a one-pool manager is every owner's home, so no routing
+// state is kept for it.
+func (m *Manager) home(owner string) (p *pool, dead bool) {
+	if len(m.pools) == 1 {
+		if p = m.pools[0]; p.dead.Load() {
+			return nil, true
+		}
+		return p, false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p, ok := m.placement[owner]
+	if !ok {
+		return nil, false
+	}
+	if p.dead.Load() {
+		delete(m.placement, owner)
+		m.cFailovers.Inc()
+		return nil, true
+	}
+	return p, false
+}
+
+// rehome moves owner's placement to p, counting the placement.
+func (m *Manager) rehome(owner string, p *pool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.placement[owner] == p {
+		return
+	}
+	m.placement[owner] = p
+	m.cPlacements.Inc()
+	p.placed.Inc()
+}
+
+// coldest returns the best live pool other than from with a free rank (nil
+// when none). Deterministic: the poolLoad total order breaks ties.
+func (m *Manager) coldest(from *pool) *pool {
+	var best *poolLoad
+	for _, l := range m.loads() {
+		l := l
+		if l.p == from || l.free == 0 {
+			continue
+		}
+		if best == nil || l.less(*best) {
+			best = &l
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	return best.p
+}
+
+// ---------------------------------------------------------------------------
+// RankManager surface.
 
 // Alloc reserves one rank for owner and reports the virtual latency of the
 // allocation round trip: the manager's measured 36 ms when a NAAV (or
 // reusable NANA) rank exists, extended by the reset time when a foreign NANA
 // rank must be erased first.
 //
-// When every rank is busy the request joins a FIFO waiter queue and really
-// blocks: it sleeps through up to Retries poll intervals (RetryTimeout,
-// growing by Backoff after each attempt) waiting for a concurrent release,
-// and is abandoned with ErrNoRanks only after the full budget. The returned
-// latency charges exactly the poll intervals the requester slept — the
-// manager has no timeline of its own, so the requesting VM charges it.
+// When every rank of the owner's pool is busy the request joins that pool's
+// FIFO waiter queue and really blocks: it sleeps through up to Retries poll
+// intervals (RetryTimeout, growing by Backoff after each attempt) waiting
+// for a concurrent release, and is abandoned with ErrNoRanks only after the
+// full budget. Under SchedSlice a budget that runs out while another
+// tenant's operation is in flight is renewed, up to Retries times: that
+// operation's end is a preemption point for the queue. The returned latency
+// charges exactly the poll intervals the requester slept — the manager has
+// no timeline of its own, so the requesting VM charges it.
 func (m *Manager) Alloc(owner string) (*pim.Rank, time.Duration, error) {
 	rank, wait, ck, err := m.alloc(owner, allocHooks{})
 	return rank, wait + ck, err
 }
 
-// alloc is the blocking allocation core. It reports the waiting/allocation
-// latency and, separately, any absorbed checkpoint debt so callers that
-// itemize costs (Acquire) can attribute the two on different trace lanes.
+// alloc is the blocking core, shared with the wire server (which threads
+// park/unpark hooks through). It reports the absorbed checkpoint debt apart
+// from the wait. A pool death mid-wait surfaces as ErrClosed from the pool
+// while the manager itself is open; the request then fails over: bounded
+// re-placement onto surviving pools, each after a real (and charged)
+// backoff sleep.
 func (m *Manager) alloc(owner string, hooks allocHooks) (*pim.Rank, time.Duration, time.Duration, error) {
+	var waited time.Duration
+	for attempt := 0; ; attempt++ {
+		p, err := m.place(owner)
+		if err != nil {
+			return nil, waited, 0, err
+		}
+		rank, wait, ck, aerr := p.alloc(owner, hooks)
+		waited += wait
+		if aerr == nil {
+			return rank, waited, ck, nil
+		}
+		if !errors.Is(aerr, ErrClosed) || m.closed.Load() {
+			return nil, waited, ck, aerr
+		}
+		// The pool closed under a live manager: it died. Mark it (KillShard
+		// may race; marking is idempotent), forget the placement and retry
+		// elsewhere.
+		m.noteDead(p)
+		m.forget(owner, p)
+		m.cFailovers.Inc()
+		if attempt >= failoverRetries {
+			return nil, waited, 0, fmt.Errorf("manager: shard %d died; failover budget exhausted: %w", p.index, ErrNoRanks)
+		}
+		time.Sleep(m.opts.FailoverBackoff)
+		waited += m.opts.FailoverBackoff
+	}
+}
+
+// noteDead marks a pool dead after observing it closed.
+func (m *Manager) noteDead(p *pool) {
+	if p.dead.CompareAndSwap(false, true) {
+		m.cDeaths.Inc()
+	}
+}
+
+// forget drops owner's placement if it still points at p.
+func (m *Manager) forget(owner string, p *pool) {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, 0, 0, ErrClosed
-	}
-	var stall time.Duration
-	if m.fault != nil && m.fault.AllocStall != nil {
-		stall = m.fault.AllocStall(owner)
-	}
-	// Fast path only when nobody is queued: a request must not overtake
-	// older waiters (FIFO fairness).
-	if len(m.waiters) == 0 {
-		if g, ok := m.tryGrantLocked(owner); ok {
-			m.mu.Unlock()
-			return g.rank, m.allocLatency + g.extra + stall, g.ck, nil
-		}
-	}
-	w := &waiter{owner: owner, ready: make(chan grant, 1)}
-	m.waiters = append(m.waiters, w)
-	m.cParked.Inc()
-	// A parked request is the scheduler's trigger: under SchedSlice a
-	// resident tenant past its quantum is checkpointed off its rank so the
-	// queue keeps moving even when nobody releases voluntarily.
-	m.scheduleLocked()
-	m.mu.Unlock()
-
-	if hooks.park != nil {
-		hooks.park()
-	}
-	unpark := func() {
-		if hooks.unpark != nil {
-			hooks.unpark()
-		}
-	}
-
-	// The retry loop of Section 3.5: sleep a poll interval, wake, check for
-	// a grant, back off, repeat. The grant is observed at the poll boundary,
-	// so the full interval it arrived within is charged.
-	waited := stall
-	interval := m.opts.RetryTimeout
-	timer := time.NewTimer(interval)
-	defer timer.Stop()
-	finish := func(g grant) (*pim.Rank, time.Duration, time.Duration, error) {
-		unpark()
-		if g.err != nil {
-			return nil, waited, 0, g.err
-		}
-		return g.rank, waited + m.allocLatency + g.extra, g.ck, nil
-	}
-	for attempt := 1; ; attempt++ {
-		select {
-		case g := <-w.ready:
-			waited += interval
-			return finish(g)
-		case <-timer.C:
-			waited += interval
-			// Each wake is a scheduling point: the pass ages the head
-			// waiter, so a starved request eventually preempts a resident
-			// tenant even when every owner is still under its quantum.
-			m.mu.Lock()
-			m.scheduleLocked()
-			m.mu.Unlock()
-			select {
-			case g := <-w.ready:
-				return finish(g)
-			default:
-			}
-			if attempt >= m.opts.Retries {
-				m.mu.Lock()
-				removed := m.removeWaiterLocked(w)
-				m.mu.Unlock()
-				if removed {
-					m.cTimedout.Inc()
-					unpark()
-					return nil, waited, 0, ErrNoRanks
-				}
-				// A grant raced with the abandonment; it was sent before
-				// the waiter left the queue, so it is already buffered.
-				return finish(<-w.ready)
-			}
-			interval = time.Duration(float64(interval) * m.opts.Backoff)
-			timer.Reset(interval)
-		}
+	defer m.mu.Unlock()
+	if m.placement[owner] == p {
+		delete(m.placement, owner)
 	}
 }
 
-// tryGrantLocked applies the Fig. 5 allocation policy for owner: same-owner
-// NANA reuse, then round-robin over NAAV ranks, then a foreign NANA rank
-// paid for with a reset. Ranks the fault policy reports dead are quarantined
-// and skipped.
-func (m *Manager) tryGrantLocked(owner string) (grant, bool) {
-	// 1. Prefer a NANA rank previously owned by the requester: no reset
-	// needed, saving CPU cycles (Section 3.5). This also covers an owner
-	// resuming onto the very rank it was preempted off.
-	for i := range m.entries {
-		e := &m.entries[i]
-		if e.state == StateNANA && e.prevOwner == owner && m.usableLocked(e) {
-			e.state = StateALLO
-			e.owner = owner
-			m.cGranted.Inc()
-			return grant{rank: e.rank, ck: m.takeDebtLocked(e)}, true
-		}
+// Acquire pins owner's rank for one operation (see pool.Acquire), in the
+// owner's home pool. An owner whose home pool died lost its rank and parked
+// state with it: ErrRankFaulted, the contract of a rank death, so callers
+// fail over identically.
+func (m *Manager) Acquire(owner string, r *pim.Rank) (*pim.Rank, AcquireCost, error) {
+	if m.closed.Load() {
+		return nil, AcquireCost{}, ErrClosed
 	}
-	// 2. Round-robin over NAAV ranks.
-	n := len(m.entries)
-	for k := 0; k < n; k++ {
-		i := (m.rrNext + k) % n
-		e := &m.entries[i]
-		if e.state == StateNAAV && m.usableLocked(e) {
-			e.state = StateALLO
-			e.owner = owner
-			m.rrNext = (i + 1) % n
-			m.cGranted.Inc()
-			return grant{rank: e.rank, ck: m.takeDebtLocked(e)}, true
+	p, dead := m.home(owner)
+	if p == nil {
+		if dead {
+			return nil, AcquireCost{}, fmt.Errorf("%w: home shard died", ErrRankFaulted)
 		}
+		return nil, AcquireCost{}, ErrRankFaulted
 	}
-	// 3. Reset a foreign NANA rank; the requester waits out the memset.
-	for i := range m.entries {
-		e := &m.entries[i]
-		if e.state == StateNANA && m.usableLocked(e) {
-			if !m.resetLocked(e) {
-				continue // reset failed: quarantined, keep looking
-			}
-			e.state = StateALLO
-			e.owner = owner
-			m.cGranted.Inc()
-			return grant{rank: e.rank, extra: e.rank.ResetDuration(), ck: m.takeDebtLocked(e)}, true
-		}
-	}
-	return grant{}, false
+	return p.Acquire(owner, r)
 }
 
-// takeDebtLocked transfers a rank's outstanding checkpoint debt (the copy
-// that freed it during a preemption) to the caller, who charges it.
-func (m *Manager) takeDebtLocked(e *entry) time.Duration {
-	d := e.debt
-	e.debt = 0
-	return d
+// EndOp ends an operation pinned by Acquire (see pool.EndOp). Ranks the
+// manager does not own (simulated ones) or that sit in a dead pool are
+// ignored.
+func (m *Manager) EndOp(r *pim.Rank, elapsed time.Duration) {
+	if p := m.byRank[r]; p != nil && !p.dead.Load() {
+		p.EndOp(r, elapsed)
+	}
 }
 
-// grantWaitersLocked serves queued requests strictly in FIFO order for as
-// long as the head waiter can be satisfied. Called whenever a rank may have
-// become allocatable.
-func (m *Manager) grantWaitersLocked() {
-	for len(m.waiters) > 0 {
-		w := m.waiters[0]
-		g, ok := m.tryGrantLocked(w.owner)
+// ReleaseOwned returns owner's rank (see pool.ReleaseOwned). A preempted
+// owner's state is its parked snapshot in the home pool, which is discarded
+// while r is left untouched. Otherwise r is released in the pool that holds
+// it: an owner re-placed while its home was full holds ranks in several
+// pools. Releasing state that died with its pool trivially succeeds — the
+// rank is gone.
+func (m *Manager) ReleaseOwned(owner string, r *pim.Rank) error {
+	home, dead := m.home(owner)
+	p := m.byRank[r]
+	if home != nil && home != p && home.ReleaseOwned(owner, nil) == nil {
+		return nil // a parked snapshot was the owner's state
+	}
+	switch {
+	case p == nil && dead:
+		return nil
+	case p == nil:
+		return fmt.Errorf("%w: unknown rank (owner %s)", ErrNotAllocated, owner)
+	case p.dead.Load():
+		return nil
+	}
+	return p.ReleaseOwned(owner, r)
+}
+
+// Discard drops owner's parked snapshot in its home pool (see
+// pool.Discard).
+func (m *Manager) Discard(owner string) bool {
+	p, _ := m.home(owner)
+	return p != nil && p.Discard(owner)
+}
+
+// MigrateOwned consolidates owner's rank: first within its home pool (see
+// pool.MigrateOwned), then — when the home pool has no target — across
+// pools: the home pool checkpoints and frees the rank (charged to the
+// caller, like any migration), the snapshot parks on the least-loaded live
+// pool with a free rank, the owner's placement follows, and the snapshot is
+// restored there eagerly. A failed cross-pool restore quarantines the
+// target and leaves the snapshot parked on the new home, so the tenant's
+// next Acquire resumes it — the move degrades to a rebalance instead of
+// losing bytes.
+func (m *Manager) MigrateOwned(owner string, from *pim.Rank) (*pim.Rank, time.Duration, error) {
+	p, dead := m.home(owner)
+	if p == nil {
+		if dead {
+			return nil, 0, fmt.Errorf("%w: home shard died (owner %s)", ErrNotAllocated, owner)
+		}
+		return nil, 0, fmt.Errorf("%w: owner %s is not placed", ErrNotAllocated, owner)
+	}
+	dst, dur, err := p.MigrateOwned(owner, from)
+	if err == nil || !errors.Is(err, ErrNoRanks) {
+		return dst, dur, err
+	}
+	// Home pool full: pick the target before touching the source, so a
+	// doomed move never evicts.
+	target := m.coldest(p)
+	if target == nil {
+		return nil, dur, err // the original "no migration target"
+	}
+	snap, ckDur, eerr := p.evictOwned(owner, from)
+	if eerr != nil {
+		return nil, dur, eerr
+	}
+	target.park(owner, snap)
+	m.rehome(owner, target)
+	rank, cost, rerr := target.resumeParked(owner, 1, false)
+	total := dur + ckDur + cost.Total()
+	if rerr != nil {
+		// The snapshot stays parked on the new home pool; the tenant
+		// resumes through Acquire. The work actually performed is owed.
+		return nil, total, fmt.Errorf("cross-shard restore on shard %d: %w", target.index, rerr)
+	}
+	m.cRebalances.Inc()
+	return rank, total, nil
+}
+
+// Migrate moves the tenant state of an allocated rank onto another
+// available rank of the same pool (see pool.Migrate).
+func (m *Manager) Migrate(from *pim.Rank) (*pim.Rank, time.Duration, error) {
+	p := m.byRank[from]
+	if p == nil || p.dead.Load() {
+		return nil, 0, fmt.Errorf("%w: migration source", ErrNotAllocated)
+	}
+	return p.Migrate(from)
+}
+
+// ---------------------------------------------------------------------------
+// Rebalancing and failure domains.
+
+// Rebalance drains hot pools into cold ones: while some live pool has
+// waiters queued and another has a free rank and an empty queue, the hot
+// pool checkpoints its longest-running unpinned tenant (exactly a scheduler
+// preemption), the snapshot parks on the cold pool, and the owner's
+// placement moves with it. The freed rank immediately serves the hot pool's
+// queue; the moved tenant resumes on the cold pool through its next
+// Acquire. Returns how many tenants moved. Safe to call from a background
+// tick.
+func (m *Manager) Rebalance() int {
+	moved := 0
+	for {
+		hot, cold := m.rebalancePair()
+		if hot == nil {
+			return moved
+		}
+		owner, snap, ok := hot.evictLongest()
 		if !ok {
-			return
+			// Every resident on the hot pool is pinned, native or
+			// mid-resume; nothing to drain this round.
+			return moved
 		}
-		m.waiters = m.waiters[1:]
-		w.ready <- g
+		cold.park(owner, snap)
+		m.rehome(owner, cold)
+		m.cRebalances.Inc()
+		moved++
 	}
 }
 
-func (m *Manager) removeWaiterLocked(w *waiter) bool {
-	for i, q := range m.waiters {
-		if q == w {
-			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
-			return true
+// rebalancePair picks the hottest pool with waiters and the coldest with
+// free capacity and an empty queue (nil, nil when no productive pair
+// exists).
+func (m *Manager) rebalancePair() (hot, cold *pool) {
+	var hotL, coldL *poolLoad
+	loads := m.loads()
+	for i := range loads {
+		l := &loads[i]
+		if l.waiters > 0 && (hotL == nil || l.waiters > hotL.waiters) {
+			hotL = l
+		}
+		if l.free > 0 && l.waiters == 0 && (coldL == nil || l.less(*coldL)) {
+			coldL = l
 		}
 	}
-	return false
-}
-
-// usableLocked applies the rank-death fault check to a rank about to be
-// handed out; a dead rank is quarantined and reported unusable.
-func (m *Manager) usableLocked(e *entry) bool {
-	if m.fault != nil && m.fault.RankDead != nil && m.fault.RankDead(e.rank.Index()) {
-		m.quarantineLocked(e)
-		return false
+	if hotL == nil || coldL == nil {
+		return nil, nil
 	}
-	return true
+	return hotL.p, coldL.p
 }
 
-// resetLocked erases a rank, honoring injected reset failures: a failed
-// reset quarantines the rank and reports false.
-func (m *Manager) resetLocked(e *entry) bool {
-	if m.fault != nil && m.fault.FailReset != nil && m.fault.FailReset(e.rank.Index()) {
-		m.quarantineLocked(e)
-		return false
+// KillShard takes pool i out of service as one failure domain: the pool
+// closes (its waiters wake with ErrClosed and are re-placed on surviving
+// pools), its ranks report quarantined, and owners whose state lived there
+// observe ErrRankFaulted on their next operation. Idempotent; killing the
+// last live pool is allowed — the manager then behaves like a fully
+// quarantined machine.
+func (m *Manager) KillShard(i int) error {
+	if i < 0 || i >= len(m.pools) {
+		return fmt.Errorf("manager: no shard %d", i)
 	}
-	e.rank.Reset()
-	m.cResets.Inc()
-	return true
-}
-
-func (m *Manager) quarantineLocked(e *entry) {
-	e.state = StateQUAR
-	e.owner = ""
-	e.prevOwner = ""
-	e.pins = 0
-	e.debt = 0 // the rank is out of service; nobody inherits its debt
-	m.cQuarantines.Inc()
-}
-
-// Release returns a rank to the manager. In the real system the VM does not
-// call the manager: a dedicated observer thread notices the release through
-// the rank's sysfs status file; this method is that observation. The rank
-// becomes NANA until ProcessResets (the observer's background erase) or a
-// same-owner reallocation — unless a request is waiting, in which case the
-// head of the FIFO queue is served immediately. Releasing a quarantined rank
-// is a no-op: the rank is already out of service.
-func (m *Manager) Release(r *pim.Rank) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e := m.entryLocked(r)
-	if e == nil {
-		return fmt.Errorf("%w: unknown rank", ErrNotAllocated)
-	}
-	if e.state == StateQUAR {
+	p := m.pools[i]
+	if !p.dead.CompareAndSwap(false, true) {
 		return nil
 	}
-	if e.state != StateALLO {
-		return fmt.Errorf("%w: rank %d in %v", ErrNotAllocated, r.Index(), e.state)
-	}
-	m.releaseEntryLocked(e)
-	return nil
-}
-
-// releaseEntryLocked moves an ALLO entry to NANA and serves the queue. The
-// departing owner's slice account resets so its next residency starts a
-// fresh quantum.
-func (m *Manager) releaseEntryLocked(e *entry) {
-	if st := m.stats[e.owner]; st != nil {
-		st.slice = 0
-	}
-	e.state = StateNANA
-	e.prevOwner = e.owner
-	e.owner = ""
-	e.pins = 0
-	m.cReleases.Inc()
-	m.grantWaitersLocked()
-}
-
-// entryLocked finds the table entry for a rank (nil for nil or unknown).
-func (m *Manager) entryLocked(r *pim.Rank) *entry {
-	if r == nil {
-		return nil
-	}
-	for i := range m.entries {
-		if m.entries[i].rank == r {
-			return &m.entries[i]
-		}
-	}
-	return nil
-}
-
-// ProcessResets performs the observer thread's background work: erase every
-// NANA rank and mark it NAAV. It reports the virtual time the resets took
-// (the ~597 ms/rank memset of Section 4.2); resets of distinct ranks run
-// sequentially on the observer thread, so the durations add. Ranks whose
-// reset fails (fault injection) are quarantined instead.
-func (m *Manager) ProcessResets() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var total time.Duration
-	for i := range m.entries {
-		e := &m.entries[i]
-		if e.state == StateNANA {
-			if !m.resetLocked(e) {
-				continue
-			}
-			// The observer's thread absorbs any checkpoint debt left on
-			// the rank: the preempted tenant never resumed here, so the
-			// background erase pays for the copy too.
-			total += e.rank.ResetDuration() + m.takeDebtLocked(e)
-			e.state = StateNAAV
-			e.prevOwner = ""
-		}
-	}
-	m.grantWaitersLocked()
-	m.scheduleLocked()
-	return total
-}
-
-// RetryQuarantined re-tests every quarantined rank against the fault policy:
-// a rank that is no longer dead and whose reset now succeeds returns to NAAV
-// (graceful recovery). It reports how many ranks were revived. The observer
-// calls this on every poll.
-func (m *Manager) RetryQuarantined() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	revived := 0
-	for i := range m.entries {
-		e := &m.entries[i]
-		if e.state != StateQUAR {
-			continue
-		}
-		if m.fault != nil && m.fault.RankDead != nil && m.fault.RankDead(e.rank.Index()) {
-			continue
-		}
-		if m.fault != nil && m.fault.FailReset != nil && m.fault.FailReset(e.rank.Index()) {
-			continue
-		}
-		e.rank.Reset()
-		m.cResets.Inc()
-		e.state = StateNAAV
-		revived++
-	}
-	if revived > 0 {
-		m.grantWaitersLocked()
-	}
-	return revived
-}
-
-// CheckRank verifies an allocated rank against the fault policy: a rank that
-// died while allocated is quarantined (ALLO -> QUAR) and ErrRankFaulted is
-// returned so the owner can fail over or re-attach.
-func (m *Manager) CheckRank(r *pim.Rank) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.entries {
-		e := &m.entries[i]
-		if e.rank == r {
-			if e.state == StateQUAR {
-				return ErrRankFaulted
-			}
-			if m.fault != nil && m.fault.RankDead != nil && m.fault.RankDead(r.Index()) {
-				m.quarantineLocked(e)
-				return ErrRankFaulted
-			}
-			return nil
-		}
-	}
+	m.cDeaths.Inc()
+	// Closing wakes the pool's waiters; they re-enter through the failover
+	// path, so no manager lock may be held here.
+	p.Close()
 	return nil
 }
 
@@ -619,69 +795,77 @@ func (m *Manager) CheckRank(r *pim.Rank) error {
 // ErrClosed and future allocations fail fast. Idempotent. The daemon calls
 // this before stopping its server so blocked requests unwind promptly.
 func (m *Manager) Close() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
+	if !m.closed.CompareAndSwap(false, true) {
 		return
 	}
-	m.closed = true
-	for _, w := range m.waiters {
-		w.ready <- grant{err: ErrClosed}
+	for _, p := range m.pools {
+		p.Close()
 	}
-	m.waiters = nil
-	// Parked snapshots can never resume once allocation is closed.
-	m.parked = make(map[string]*parkedSnap)
+}
+
+// ---------------------------------------------------------------------------
+// Observer and native surfaces.
+
+// ProcessResets performs the observer thread's background work: erase every
+// NANA rank and mark it NAAV. It reports the virtual time the resets took
+// (the ~597 ms/rank memset of Section 4.2); the observer works through the
+// ranks sequentially, so the durations add. Ranks whose reset fails (fault
+// injection) are quarantined instead.
+func (m *Manager) ProcessResets() time.Duration {
+	var total time.Duration
+	for _, p := range m.live() {
+		total += p.ProcessResets()
+	}
+	return total
+}
+
+// RetryQuarantined re-tests every quarantined rank against the fault policy:
+// a rank that is no longer dead and whose reset now succeeds returns to NAAV
+// (graceful recovery). It reports how many ranks were revived. The observer
+// calls this on every poll. Ranks of a dead pool stay out of service.
+func (m *Manager) RetryQuarantined() int {
+	n := 0
+	for _, p := range m.live() {
+		n += p.RetryQuarantined()
+	}
+	return n
+}
+
+// CheckRank verifies an allocated rank against the fault policy: a rank that
+// died while allocated is quarantined (ALLO -> QUAR) and ErrRankFaulted is
+// returned so the owner can fail over or re-attach. Ranks the manager does
+// not own pass.
+func (m *Manager) CheckRank(r *pim.Rank) error {
+	p := m.byRank[r]
+	switch {
+	case p == nil:
+		return nil
+	case p.dead.Load():
+		return ErrRankFaulted
+	}
+	return p.CheckRank(r)
 }
 
 // AcquireNative reserves ranks covering nrDPUs for a host-native
-// application. Native applications bypass the manager's socket protocol (the
-// observer merely sees their usage), so no allocation latency applies and
-// the FIFO queue is not consulted.
+// application, taking usable ranks in machine order across live pools.
+// Native applications bypass the manager's socket protocol (the observer
+// merely sees their usage), so no allocation latency applies and no queue
+// is consulted. A shortfall rolls the whole acquisition back.
 func (m *Manager) AcquireNative(nrDPUs int) ([]*pim.Rank, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var picked []*pim.Rank
 	covered := 0
-	for i := range m.entries {
-		if covered >= nrDPUs {
-			break
+	live := m.live()
+	for _, p := range live {
+		ranks, n := p.takeNative(nrDPUs - covered)
+		picked = append(picked, ranks...)
+		if covered += n; covered >= nrDPUs {
+			return picked, nil
 		}
-		e := &m.entries[i]
-		switch e.state {
-		case StateNAAV:
-			if !m.usableLocked(e) {
-				continue
-			}
-		case StateNANA:
-			if !m.usableLocked(e) || !m.resetLocked(e) {
-				continue
-			}
-			// Native acquisitions bypass virtual-clock charging entirely,
-			// so any checkpoint debt on the rank is dropped rather than
-			// charged to a tenant that never sees a clock.
-			e.debt = 0
-		default:
-			continue
-		}
-		e.state = StateALLO
-		e.owner = nativeOwner
-		picked = append(picked, e.rank)
-		covered += e.rank.NumDPUs()
 	}
-	if covered < nrDPUs {
-		// Roll back the partial acquisition.
-		for _, r := range picked {
-			for i := range m.entries {
-				if m.entries[i].rank == r {
-					m.entries[i].state = StateNAAV
-					m.entries[i].owner = ""
-				}
-			}
-		}
-		m.grantWaitersLocked()
-		return nil, fmt.Errorf("%w: want %d DPUs", ErrNoRanks, nrDPUs)
+	for _, p := range live {
+		p.untakeNative(picked)
 	}
-	return picked, nil
+	return nil, fmt.Errorf("%w: want %d DPUs", ErrNoRanks, nrDPUs)
 }
 
 // ReleaseNative returns a native application's rank (observed via sysfs,
@@ -692,66 +876,231 @@ func (m *Manager) ReleaseNative(r *pim.Rank) {
 	_ = m.Release(r)
 }
 
+// Release returns a rank by pointer. In the real system the VM does not
+// call the manager: a dedicated observer thread notices the release through
+// the rank's sysfs status file; this method is that observation. The rank
+// becomes NANA until ProcessResets (the observer's background erase) or a
+// same-owner reallocation — unless a request is waiting, in which case the
+// head of the FIFO queue is served immediately. Releasing a quarantined
+// rank, or one in a dead pool, is a no-op: the rank is already out of
+// service. Tenants release through ReleaseOwned, which checks ownership.
+func (m *Manager) Release(r *pim.Rank) error {
+	p := m.byRank[r]
+	switch {
+	case p == nil:
+		return fmt.Errorf("%w: unknown rank", ErrNotAllocated)
+	case p.dead.Load():
+		return nil
+	}
+	return p.Release(r)
+}
+
+// ---------------------------------------------------------------------------
+// Introspection.
+
+// table concatenates the pool tables in machine order.
+func (m *Manager) table() []entry {
+	var out []entry
+	for _, p := range m.pools {
+		out = append(out, p.table()...)
+	}
+	return out
+}
+
 // RankByIndex looks a rank up by its machine index.
 func (m *Manager) RankByIndex(idx int) (*pim.Rank, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.entries {
-		if m.entries[i].rank.Index() == idx {
-			return m.entries[i].rank, true
+	for r := range m.byRank {
+		if r.Index() == idx {
+			return r, true
 		}
 	}
 	return nil, false
 }
 
-// States snapshots the rank table for tests and the admin CLI.
+// States snapshots the rank table for tests and the admin CLI. Ranks of a
+// dead pool report QUAR: the whole failure domain is out of service.
 func (m *Manager) States() []RankState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]RankState, len(m.entries))
-	for i := range m.entries {
-		out[i] = m.entries[i].state
+	t := m.table()
+	out := make([]RankState, len(t))
+	for i := range t {
+		out[i] = t[i].state
 	}
 	return out
 }
 
 // Owners snapshots the owner column of the rank table.
 func (m *Manager) Owners() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, len(m.entries))
-	for i := range m.entries {
-		out[i] = m.entries[i].owner
+	t := m.table()
+	out := make([]string, len(t))
+	for i := range t {
+		out[i] = t[i].owner
 	}
 	return out
 }
 
-// Waiters reports how many allocation requests are parked in the FIFO queue.
-func (m *Manager) Waiters() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.waiters)
-}
-
-// Quarantined lists the indexes of quarantined ranks.
+// Quarantined lists the indexes of quarantined ranks, every rank of a dead
+// pool included.
 func (m *Manager) Quarantined() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var out []int
-	for i := range m.entries {
-		if m.entries[i].state == StateQUAR {
-			out = append(out, m.entries[i].rank.Index())
+	for _, e := range m.table() {
+		if e.state == StateQUAR {
+			out = append(out, e.rank.Index())
 		}
 	}
 	return out
 }
 
+// Waiters reports how many allocation requests are parked in the queues of
+// live pools.
+func (m *Manager) Waiters() int {
+	n := 0
+	for _, p := range m.live() {
+		n += p.Waiters()
+	}
+	return n
+}
+
+// Parked lists owners whose checkpointed state is awaiting a rank in a live
+// pool, sorted.
+func (m *Manager) Parked() []string {
+	var out []string
+	for _, p := range m.live() {
+		out = append(out, p.Parked()...)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// sum adds one counter across every pool, dead ones included (their values
+// are frozen, not lost).
+func (m *Manager) sum(c func(*pool) *obs.Counter) int64 {
+	var n int64
+	for _, p := range m.pools {
+		n += c(p).Load()
+	}
+	return n
+}
+
 // Allocations reports how many allocations have been served.
-func (m *Manager) Allocations() int64 { return m.cGranted.Load() }
+func (m *Manager) Allocations() int64 { return m.sum(func(p *pool) *obs.Counter { return p.cGranted }) }
 
 // Resets reports how many rank resets have been performed.
-func (m *Manager) Resets() int64 { return m.cResets.Load() }
+func (m *Manager) Resets() int64 { return m.sum(func(p *pool) *obs.Counter { return p.cResets }) }
 
 // Faults reports how many rank faults (failed resets, rank deaths) the
 // manager has absorbed by quarantining.
-func (m *Manager) Faults() int64 { return m.cQuarantines.Load() }
+func (m *Manager) Faults() int64 { return m.sum(func(p *pool) *obs.Counter { return p.cQuarantines }) }
+
+// Preemptions reports how many tenants have been checkpointed off their
+// rank, by the scheduler or a rebalance.
+func (m *Manager) Preemptions() int64 { return m.sum(func(p *pool) *obs.Counter { return p.cPreempt }) }
+
+// SchedRestores reports how many parked tenants have been restored onto a
+// rank.
+func (m *Manager) SchedRestores() int64 {
+	return m.sum(func(p *pool) *obs.Counter { return p.cRestores })
+}
+
+// Migrations reports how many rank migrations have completed. Migrations
+// deliberately do not count as allocations: Allocations() and the
+// manager.granted metric track admission, which a consolidation move does
+// not change.
+func (m *Manager) Migrations() int64 {
+	return m.sum(func(p *pool) *obs.Counter { return p.cMigrations })
+}
+
+// Sched snapshots per-owner residency and preemption statistics (the
+// `sched` socket verb), sorted by owner. An owner rebalanced between pools
+// has accounts in both; its rows merge by summing the counters and keeping
+// the live residency.
+func (m *Manager) Sched() []OwnerSched {
+	byOwner := make(map[string]*OwnerSched)
+	for _, p := range m.live() {
+		for _, row := range p.Sched() {
+			row := row
+			cur := byOwner[row.Owner]
+			if cur == nil {
+				byOwner[row.Owner] = &row
+				continue
+			}
+			cur.RuntimeNS += row.RuntimeNS
+			cur.SliceNS += row.SliceNS
+			cur.Preemptions += row.Preemptions
+			cur.Restores += row.Restores
+			cur.Parked = cur.Parked || row.Parked
+			if cur.Rank < 0 {
+				cur.Rank = row.Rank
+			}
+		}
+	}
+	out := make([]OwnerSched, 0, len(byOwner))
+	for _, row := range byOwner {
+		out = append(out, *row)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Owner < out[j].Owner })
+	return out
+}
+
+// ShardInfo is one pool's row in the `cluster` wire verb.
+type ShardInfo struct {
+	Index int  `json:"index"`
+	Dead  bool `json:"dead"`
+	// Ranks is the pool size; Free/Resident/Quarantined partition the
+	// table (Resident = ALLO ranks, the pool's residency).
+	Ranks       int   `json:"ranks"`
+	Free        int   `json:"free"`
+	Resident    int   `json:"resident"`
+	Quarantined int   `json:"quarantined"`
+	Waiters     int   `json:"waiters"`
+	Parked      int   `json:"parked"`
+	Granted     int64 `json:"granted"`
+	// Placements counts owners routed to this pool. A one-pool manager
+	// routes nothing, so its placement counters stay 0.
+	Placements int64 `json:"placements"`
+}
+
+// ClusterStats is the `cluster` wire verb payload: the pool topology and
+// routing counters.
+type ClusterStats struct {
+	Shards      []ShardInfo `json:"shards"`
+	Placements  int64       `json:"placements"`
+	Rebalances  int64       `json:"rebalances"`
+	Failovers   int64       `json:"failovers"`
+	ShardDeaths int64       `json:"shardDeaths"`
+}
+
+// Stats snapshots the pool topology for the admin surface.
+func (m *Manager) Stats() ClusterStats {
+	st := ClusterStats{
+		Placements:  m.cPlacements.Load(),
+		Rebalances:  m.cRebalances.Load(),
+		Failovers:   m.cFailovers.Load(),
+		ShardDeaths: m.cDeaths.Load(),
+	}
+	for _, p := range m.pools {
+		info := ShardInfo{
+			Index:      p.index,
+			Dead:       p.dead.Load(),
+			Granted:    p.cGranted.Load(),
+			Placements: p.placed.Load(),
+		}
+		t := p.table()
+		info.Ranks = len(t)
+		for _, e := range t {
+			switch e.state {
+			case StateALLO:
+				info.Resident++
+			case StateQUAR:
+				info.Quarantined++
+			default:
+				info.Free++
+			}
+		}
+		if !info.Dead {
+			info.Waiters = p.Waiters()
+			info.Parked = len(p.Parked())
+		}
+		st.Shards = append(st.Shards, info)
+	}
+	return st
+}

@@ -3,6 +3,7 @@ package manager
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"testing"
@@ -210,9 +211,16 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-// TestServer exercises the UNIX-socket protocol end to end.
+// TestServer exercises the UNIX-socket protocol end to end over one pool
+// and over two: both shapes go through the same server path.
 func TestServer(t *testing.T) {
-	mgr := New(testMachine(t, 2), Options{})
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testServer(t, shards) })
+	}
+}
+
+func testServer(t *testing.T, shards int) {
+	mgr := New(testMachine(t, 2), Options{Shards: shards})
 	srv := NewServer(mgr)
 	sock := filepath.Join(t.TempDir(), "mgr.sock")
 	l, err := net.Listen("unix", sock)
@@ -222,49 +230,134 @@ func TestServer(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 
-	client, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shutdown waits for in-flight connections; close the client first.
-	closed := false
-	closeClient := func() {
-		if !closed {
-			closed = true
-			_ = client.Close()
+	// One client per tenant. Shutdown waits for in-flight connections, so
+	// every client is closed first.
+	var clients []*Client
+	dial := func() *Client {
+		c, err := Dial("unix", sock)
+		if err != nil {
+			t.Fatal(err)
 		}
+		clients = append(clients, c)
+		return c
 	}
-	defer closeClient()
+	closeClients := func() {
+		for _, c := range clients {
+			_ = c.Close()
+		}
+		clients = nil
+	}
+	defer closeClients()
+	a, b, c := dial(), dial(), dial()
 
-	rank, latency, err := client.Alloc("vmX")
+	rank, latency, err := a.Alloc("vmA")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if latency != 36*time.Millisecond {
 		t.Errorf("latency over the wire = %v", latency)
 	}
-	states, err := client.States()
+	states, err := a.States()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if states[rank] != "ALLO" {
 		t.Errorf("state[%d] = %s", rank, states[rank])
 	}
-	if err := client.Release(rank); err != nil {
+
+	// Release is owner-bound: B, holding a rank of its own, cannot free
+	// A's, and neither can an ownerless request.
+	bRank, _, err := b.Alloc("vmB")
+	if err != nil {
 		t.Fatal(err)
 	}
-	states, err = client.States()
+	if err := b.Release("vmB", rank); err == nil {
+		t.Error("B released A's rank")
+	}
+	if err := b.Release("", rank); err == nil {
+		t.Error("an ownerless release freed A's rank")
+	}
+	if got := mgr.Owners()[rank]; mgr.States()[rank] != StateALLO || got != "vmA" {
+		t.Errorf("after foreign releases rank %d is %v owned by %q, want ALLO to vmA", rank, mgr.States()[rank], got)
+	}
+	if err := b.Release("vmB", bRank); err != nil {
+		t.Fatal(err)
+	}
+	cRank, _, err := c.Alloc("vmC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cRank == rank {
+		t.Errorf("C was granted A's rank %d", rank)
+	}
+
+	if err := a.Release("vmA", rank); err != nil {
+		t.Fatal(err)
+	}
+	states, err = a.States()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if states[rank] != "NANA" {
 		t.Errorf("state after release = %s", states[rank])
 	}
-	if err := client.Release(99); err == nil {
+	if err := a.Release("vmA", 99); err == nil {
 		t.Error("releasing unknown rank must fail")
 	}
 
-	closeClient()
+	// The cluster verb answers for every shape: one row per pool. With
+	// several pools the three tenants were placed once each; one pool
+	// routes nothing.
+	st, err := a.Cluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Shards) != shards {
+		t.Fatalf("cluster verb reports %d pools, want %d", len(st.Shards), shards)
+	}
+	var placed int64
+	resident := 0
+	for _, si := range st.Shards {
+		placed += si.Placements
+		resident += si.Resident
+	}
+	wantPlaced := int64(3)
+	if shards == 1 {
+		wantPlaced = 0
+	}
+	if st.Placements != wantPlaced || placed != wantPlaced {
+		t.Errorf("placements = %d (per pool %d), want %d", st.Placements, placed, wantPlaced)
+	}
+	if resident != 1 {
+		t.Errorf("resident ranks = %d, want 1 (C's)", resident)
+	}
+
+	// One owner holding both ranks releases both. With two pools the
+	// second grant comes from the other pool (the first is full), so each
+	// release must reach the pool that holds its rank.
+	if err := c.Release("vmC", cRank); err != nil {
+		t.Fatal(err)
+	}
+	var dRanks []int
+	for i := 0; i < 2; i++ {
+		r, _, err := c.Alloc("vmD")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dRanks = append(dRanks, r)
+	}
+	for _, r := range dRanks {
+		if err := c.Release("vmD", r); err != nil {
+			t.Errorf("vmD releasing its rank %d: %v", r, err)
+		}
+	}
+	for i, st := range mgr.States() {
+		if st == StateALLO {
+			t.Errorf("rank %d still ALLO to %q after every release", i, mgr.Owners()[i])
+		}
+	}
+
+	closeClients()
 	srv.Shutdown()
 	if err := <-done; err != nil {
 		t.Errorf("Serve returned %v", err)

@@ -19,7 +19,7 @@ import (
 // migration. On failure the duration covers whatever preparation work was
 // actually performed (a target reset, a checkpoint copy) — the caller owes
 // that time even though the migration did not happen.
-func (m *Manager) Migrate(from *pim.Rank) (*pim.Rank, time.Duration, error) {
+func (m *pool) Migrate(from *pim.Rank) (*pim.Rank, time.Duration, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	src := m.entryLocked(from)
@@ -34,7 +34,7 @@ func (m *Manager) Migrate(from *pim.Rank) (*pim.Rank, time.Duration, error) {
 // rank reassigned between the owner deciding to migrate and the call
 // landing). Callers that cache rank pointers across manager calls must use
 // this form.
-func (m *Manager) MigrateOwned(owner string, from *pim.Rank) (*pim.Rank, time.Duration, error) {
+func (m *pool) MigrateOwned(owner string, from *pim.Rank) (*pim.Rank, time.Duration, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	src := m.entryLocked(from)
@@ -44,7 +44,7 @@ func (m *Manager) MigrateOwned(owner string, from *pim.Rank) (*pim.Rank, time.Du
 	return m.migrateLocked(src)
 }
 
-func (m *Manager) migrateLocked(src *entry) (*pim.Rank, time.Duration, error) {
+func (m *pool) migrateLocked(src *entry) (*pim.Rank, time.Duration, error) {
 	if src.pins > 0 {
 		return nil, 0, fmt.Errorf("%w: rank %d has an operation in flight", ErrRankBusy, src.rank.Index())
 	}
@@ -115,25 +115,42 @@ func (m *Manager) migrateLocked(src *entry) (*pim.Rank, time.Duration, error) {
 }
 
 // checkpointLocked snapshots a rank, honoring injected checkpoint faults.
-func (m *Manager) checkpointLocked(e *entry) (*pim.Snapshot, time.Duration, error) {
+func (m *pool) checkpointLocked(e *entry) (*pim.Snapshot, time.Duration, error) {
 	if m.fault != nil && m.fault.FailCheckpoint != nil && m.fault.FailCheckpoint(e.rank.Index()) {
 		return nil, 0, fmt.Errorf("injected checkpoint fault")
 	}
 	return e.rank.Checkpoint()
 }
 
+// evictOwned checkpoints owner's rank and frees it (NANA, reset-free for
+// the departed owner), returning the snapshot and the checkpoint cost for
+// the caller to charge — the source half of a cross-pool migration. Unlike
+// a preemption the cost is not left as rank debt: the migrating tenant pays.
+func (m *pool) evictOwned(owner string, r *pim.Rank) (*pim.Snapshot, time.Duration, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.entryLocked(r)
+	if e == nil || e.state != StateALLO || e.owner != owner {
+		return nil, 0, fmt.Errorf("%w: eviction source (owner %s)", ErrNotAllocated, owner)
+	}
+	if e.pins > 0 {
+		return nil, 0, fmt.Errorf("%w: rank %d has an operation in flight", ErrRankBusy, e.rank.Index())
+	}
+	snap, ckDur, err := m.checkpointLocked(e)
+	if err != nil {
+		return nil, 0, fmt.Errorf("checkpoint rank %d: %w", e.rank.Index(), err)
+	}
+	m.vacateLocked(e)
+	m.grantWaitersLocked()
+	return snap, ckDur, nil
+}
+
 // unwindTargetLocked returns a prepared-but-unused migration target to the
 // pool: clean (NAAV) — it was either already clean or just reset — and
 // immediately re-offered to parked waiters.
-func (m *Manager) unwindTargetLocked(e *entry) {
+func (m *pool) unwindTargetLocked(e *entry) {
 	e.state = StateNAAV
 	e.owner = ""
 	e.prevOwner = ""
 	m.grantWaitersLocked()
 }
-
-// Migrations reports how many rank migrations have completed. Migrations
-// deliberately do not count as allocations: Allocations() and the
-// manager.granted metric track admission, which a consolidation move does
-// not change.
-func (m *Manager) Migrations() int64 { return m.cMigrations.Load() }

@@ -66,13 +66,6 @@ const agingPasses = 2
 // the socket protocol and are never preempted.
 const nativeOwner = "native"
 
-// parkedSnap is a preempted tenant: its rank image, waiting for the owner's
-// next operation to restore it somewhere.
-type parkedSnap struct {
-	snap *pim.Snapshot
-	from int // rank index the tenant was checkpointed off (stats only)
-}
-
 // ownerStat is one owner's scheduling account on the virtual clock.
 type ownerStat struct {
 	slice       time.Duration // runtime accumulated in the current residency
@@ -111,7 +104,7 @@ type OwnerSched struct {
 }
 
 // statLocked returns (allocating on demand) owner's scheduling account.
-func (m *Manager) statLocked(owner string) *ownerStat {
+func (m *pool) statLocked(owner string) *ownerStat {
 	st := m.stats[owner]
 	if st == nil {
 		st = &ownerStat{}
@@ -121,7 +114,7 @@ func (m *Manager) statLocked(owner string) *ownerStat {
 }
 
 // scheduleLocked runs one scheduling pass. No-op unless SchedSlice.
-func (m *Manager) scheduleLocked() {
+func (m *pool) scheduleLocked() {
 	if m.opts.SchedPolicy != SchedSlice || m.closed {
 		return
 	}
@@ -147,16 +140,31 @@ func (m *Manager) scheduleLocked() {
 }
 
 // pickVictimLocked selects the preemption victim for the head waiter: the
-// eligible ALLO rank whose owner has the longest current slice. Returns nil
+// longest-running eligible tenant other than the waiter itself. Returns nil
 // when no candidate exists or the best candidate is still under its quantum
 // and the waiter has not aged past the starvation bound.
-func (m *Manager) pickVictimLocked(reqOwner string) *entry {
+func (m *pool) pickVictimLocked(reqOwner string) *entry {
+	best, bestRun := m.longestLocked(reqOwner)
+	if best == nil {
+		return nil
+	}
+	if bestRun >= m.opts.Quantum || m.schedStarved >= agingPasses {
+		return best
+	}
+	m.schedStarved++
+	return nil
+}
+
+// longestLocked returns the ALLO entry whose owner has the longest current
+// slice among the preemptible ones: unpinned, not native, not mid-resume,
+// and not owned by except.
+func (m *pool) longestLocked(except string) (*entry, time.Duration) {
 	var best *entry
 	bestRun := time.Duration(-1)
 	for i := range m.entries {
 		e := &m.entries[i]
 		if e.state != StateALLO || e.pins > 0 || e.owner == "" ||
-			e.owner == reqOwner || e.owner == nativeOwner {
+			e.owner == except || e.owner == nativeOwner {
 			continue
 		}
 		if m.parked[e.owner] != nil {
@@ -172,41 +180,58 @@ func (m *Manager) pickVictimLocked(reqOwner string) *entry {
 			best, bestRun = e, run
 		}
 	}
-	if best == nil {
-		return nil
-	}
-	if bestRun >= m.opts.Quantum || m.schedStarved >= agingPasses {
-		return best
-	}
-	m.schedStarved++
-	return nil
+	return best, bestRun
 }
 
 // preemptLocked checkpoints e's tenant, parks the snapshot, and re-offers
 // the rank to the queue. Reports whether the preemption happened.
-func (m *Manager) preemptLocked(e *entry) bool {
-	snap, ckDur, err := m.checkpointLocked(e)
-	if err != nil {
+func (m *pool) preemptLocked(e *entry) bool {
+	owner, snap, ok := m.evictLocked(e)
+	if !ok {
 		// Injected fault, or busy (a launch mid-flight on the host side):
 		// treat like a pinned rank and let a later pass retry.
 		return false
 	}
-	owner := e.owner
-	m.parked[owner] = &parkedSnap{snap: snap, from: e.rank.Index()}
-	st := m.statLocked(owner)
-	st.slice = 0
-	st.preemptions++
-	m.cPreempt.Inc()
+	m.parked[owner] = snap
 	m.schedStarved = 0
-	// The rank goes NANA, not NAAV: a foreign grant still pays the reset
-	// (requirement R2 — no bytes leak between tenants), while the departed
-	// owner itself may take the rank back reset-free and restore over it.
-	e.state = StateNANA
-	e.prevOwner = owner
-	e.owner = ""
-	e.debt += ckDur
 	m.grantWaitersLocked()
 	return true
+}
+
+// evictLocked checkpoints e's tenant off its rank, counted as a preemption
+// with the checkpoint cost carried as rank debt, and hands the snapshot to
+// the caller to park. The rank goes NANA, not NAAV: a foreign grant still
+// pays the reset (requirement R2 — no bytes leak between tenants), while
+// the departed owner itself may take the rank back reset-free and restore
+// over it.
+func (m *pool) evictLocked(e *entry) (string, *pim.Snapshot, bool) {
+	snap, ckDur, err := m.checkpointLocked(e)
+	if err != nil {
+		return "", nil, false
+	}
+	owner := e.owner
+	m.statLocked(owner).preemptions++
+	m.cPreempt.Inc()
+	m.vacateLocked(e)
+	e.debt += ckDur
+	return owner, snap, true
+}
+
+// evictLongest preempts the longest-running preemptible tenant on behalf
+// of a rebalance: a scheduler preemption whose snapshot the Manager parks
+// on another pool.
+func (m *pool) evictLongest() (string, *pim.Snapshot, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, _ := m.longestLocked("")
+	if e == nil {
+		return "", nil, false
+	}
+	owner, snap, ok := m.evictLocked(e)
+	if ok {
+		m.grantWaitersLocked()
+	}
+	return owner, snap, ok
 }
 
 // Acquire pins owner's rank for one operation. Three cases:
@@ -223,7 +248,7 @@ func (m *Manager) preemptLocked(e *entry) bool {
 // Every Acquire must be paired with EndOp on the returned rank; the rank is
 // not preemptible in between. Calls for one owner must be serialized by
 // that owner (the backend's virtqueue loop already is).
-func (m *Manager) Acquire(owner string, r *pim.Rank) (*pim.Rank, AcquireCost, error) {
+func (m *pool) Acquire(owner string, r *pim.Rank) (*pim.Rank, AcquireCost, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -244,21 +269,17 @@ func (m *Manager) Acquire(owner string, r *pim.Rank) (*pim.Rank, AcquireCost, er
 	if !parked {
 		return nil, AcquireCost{}, ErrRankFaulted
 	}
-	return m.resumeParked(owner)
+	return m.resumeParked(owner, max(m.opts.Retries, 1), true)
 }
 
 // resumeParked brings a preempted owner back: allocate a rank, restore the
-// parked snapshot onto it, pin it. A rank whose restore fails holds an
-// unknown mix of tenant bytes and is quarantined; the resume then retries
-// with a fresh allocation, bounded by the Retries budget. The snapshot
-// stays parked until a restore succeeds (or the owner discards it), so a
-// failed resume loses nothing.
-func (m *Manager) resumeParked(owner string) (*pim.Rank, AcquireCost, error) {
+// parked snapshot onto it and, with pin, pin it for the caller's operation.
+// A rank whose restore fails holds an unknown mix of tenant bytes and is
+// quarantined; the resume then retries with a fresh allocation, up to
+// attempts times. The snapshot stays parked until a restore succeeds (or
+// the owner discards it), so a failed resume loses nothing.
+func (m *pool) resumeParked(owner string, attempts int, pin bool) (*pim.Rank, AcquireCost, error) {
 	var cost AcquireCost
-	attempts := m.opts.Retries
-	if attempts < 1 {
-		attempts = 1
-	}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		rank, wait, ck, err := m.alloc(owner, allocHooks{})
@@ -277,10 +298,10 @@ func (m *Manager) resumeParked(owner string) (*pim.Rank, AcquireCost, error) {
 		}
 		m.mu.Lock()
 		e := m.entryLocked(rank)
-		ps := m.parked[owner]
+		snap := m.parked[owner]
 		restoreFault := m.fault != nil && m.fault.FailRestore != nil && m.fault.FailRestore(rank.Index())
 		m.mu.Unlock()
-		if ps == nil {
+		if snap == nil {
 			// The owner discarded its state while this resume was waiting
 			// in the queue; return the freshly granted rank and give up.
 			_ = m.Release(rank)
@@ -294,7 +315,7 @@ func (m *Manager) resumeParked(owner string) (*pim.Rank, AcquireCost, error) {
 		if restoreFault {
 			rerr = fmt.Errorf("injected restore fault on rank %d", rank.Index())
 		} else {
-			rsDur, rerr = rank.Restore(ps.snap)
+			rsDur, rerr = rank.Restore(snap)
 		}
 		if rerr != nil {
 			m.mu.Lock()
@@ -308,11 +329,10 @@ func (m *Manager) resumeParked(owner string) (*pim.Rank, AcquireCost, error) {
 		cost.Restore += rsDur
 		m.mu.Lock()
 		delete(m.parked, owner)
-		if e != nil {
+		if e != nil && pin {
 			e.pins++
 		}
-		st := m.statLocked(owner)
-		st.restores++
+		m.statLocked(owner).restores++
 		m.cRestores.Inc()
 		m.mu.Unlock()
 		return rank, cost, nil
@@ -325,7 +345,7 @@ func (m *Manager) resumeParked(owner string) (*pim.Rank, AcquireCost, error) {
 // scheduling pass runs when requests are waiting, making every operation
 // boundary a potential preemption point. Unknown or already-released ranks
 // are tolerated (the release zeroed the pin).
-func (m *Manager) EndOp(r *pim.Rank, elapsed time.Duration) {
+func (m *pool) EndOp(r *pim.Rank, elapsed time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e := m.entryLocked(r)
@@ -348,16 +368,12 @@ func (m *Manager) EndOp(r *pim.Rank, elapsed time.Duration) {
 // ReleaseOwned returns owner's rank, resolving the race rank-keyed Release
 // cannot: if the owner was preempted, its state lives in a parked snapshot
 // and r may already belong to another tenant — the snapshot is discarded
-// and r is left untouched. A quarantined rank releases as a no-op, like
-// Release.
-func (m *Manager) ReleaseOwned(owner string, r *pim.Rank) error {
+// and r is left untouched (with a nil r, that is all it does). A
+// quarantined rank releases as a no-op, like Release.
+func (m *pool) ReleaseOwned(owner string, r *pim.Rank) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.parked[owner] != nil {
-		delete(m.parked, owner)
-		if st := m.stats[owner]; st != nil {
-			st.slice = 0
-		}
+	if m.dropParkedLocked(owner) {
 		m.cReleases.Inc()
 		return nil
 	}
@@ -378,9 +394,15 @@ func (m *Manager) ReleaseOwned(owner string, r *pim.Rank) error {
 // Discard drops owner's parked snapshot without an allocation (tenant
 // teardown while preempted, or failover to a simulated rank). Reports
 // whether a snapshot existed.
-func (m *Manager) Discard(owner string) bool {
+func (m *pool) Discard(owner string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.dropParkedLocked(owner)
+}
+
+// dropParkedLocked discards owner's parked snapshot, if any, and resets its
+// slice account.
+func (m *pool) dropParkedLocked(owner string) bool {
 	if m.parked[owner] == nil {
 		return false
 	}
@@ -393,7 +415,7 @@ func (m *Manager) Discard(owner string) bool {
 
 // Sched snapshots per-owner residency and preemption statistics (the
 // `sched` socket verb), sorted by owner.
-func (m *Manager) Sched() []OwnerSched {
+func (m *pool) Sched() []OwnerSched {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	resident := make(map[string]int)
@@ -435,7 +457,7 @@ func (m *Manager) Sched() []OwnerSched {
 }
 
 // Parked lists owners whose checkpointed state is awaiting a rank, sorted.
-func (m *Manager) Parked() []string {
+func (m *pool) Parked() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]string, 0, len(m.parked))
@@ -446,10 +468,17 @@ func (m *Manager) Parked() []string {
 	return out
 }
 
-// Preemptions reports how many tenants the scheduler has checkpointed off
-// their rank.
-func (m *Manager) Preemptions() int64 { return m.cPreempt.Load() }
+// park adopts a snapshot checkpointed on another pool: the owner's next
+// Acquire here restores it through the ordinary resume path.
+func (m *pool) park(owner string, snap *pim.Snapshot) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.parked[owner] = snap
+}
 
-// SchedRestores reports how many parked tenants have been restored onto a
-// rank.
-func (m *Manager) SchedRestores() int64 { return m.cRestores.Load() }
+// hasParked reports whether owner has a checkpointed snapshot parked here.
+func (m *pool) hasParked(owner string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.parked[owner] != nil
+}

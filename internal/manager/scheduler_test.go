@@ -132,6 +132,51 @@ func TestSchedQuantumProtectionAndAging(t *testing.T) {
 	}
 }
 
+// TestSchedWaitOutlivesInFlightOp pins the only rank in one operation for
+// longer than a waiter's poll budget. Under time-slicing the waiter keeps
+// its place and is served by the preemption at the operation's end; with
+// no operation in flight the budget still runs out.
+func TestSchedWaitOutlivesInFlightOp(t *testing.T) {
+	opts := schedOpts()
+	opts.Retries, opts.RetryTimeout = 3, 10*time.Millisecond
+	budget := time.Duration(opts.Retries) * opts.RetryTimeout
+	mgr := New(testMachine(t, 1), opts)
+	a, _, err := mgr.Alloc("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := mgr.Acquire("a", a); err != nil { // a's operation starts
+		t.Fatal(err)
+	}
+	type result struct {
+		wait time.Duration
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		_, wait, err := mgr.Alloc("b")
+		done <- result{wait, err}
+	}()
+	time.Sleep(budget + budget/2)
+	mgr.EndOp(a, time.Millisecond)
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("waiter gave up while an operation was in flight: %v", res.err)
+	}
+	if res.wait < budget {
+		t.Errorf("charged wait %v, want at least one full budget %v", res.wait, budget)
+	}
+	if n := mgr.Metrics()["manager.allocs.timedout"]; n != 0 {
+		t.Errorf("allocs.timedout = %d, want 0", n)
+	}
+
+	// No operation in flight and the only resident is the requester
+	// itself: the budget runs out as before.
+	if _, _, err := mgr.Alloc("b"); !errors.Is(err, ErrNoRanks) {
+		t.Errorf("second alloc by the holder = %v, want ErrNoRanks", err)
+	}
+}
+
 // TestSchedReleaseWhileParked tears a tenant down while its snapshot is
 // parked: the release must discard the snapshot and must not touch the
 // physical rank, which by then belongs to another tenant.

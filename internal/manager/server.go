@@ -8,8 +8,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"repro/internal/pim"
 )
 
 // The wire protocol of the standalone manager daemon: newline-delimited JSON
@@ -20,7 +18,8 @@ import (
 type Request struct {
 	// Op is "alloc", "release", "states", "metrics", "sched" or "cluster".
 	Op string `json:"op"`
-	// Owner identifies the requesting vUPMEM device for "alloc".
+	// Owner identifies the requesting vUPMEM device for "alloc", and the
+	// holder a "release" must match.
 	Owner string `json:"owner,omitempty"`
 	// Rank is the rank index for "release".
 	Rank int `json:"rank,omitempty"`
@@ -38,31 +37,7 @@ type Response struct {
 	Cluster   *ClusterStats    `json:"cluster,omitempty"`
 }
 
-// Arbiter is the allocation authority a Server fronts: the single Manager
-// or the sharded Cluster. The unexported methods pin the implementations
-// to this package — the wire server reaches into the blocking allocation
-// core (alloc hooks) and the daemon thread-pool bound, which no external
-// type can provide.
-type Arbiter interface {
-	RankManager
-	Release(r *pim.Rank) error
-	RankByIndex(idx int) (*pim.Rank, bool)
-	States() []RankState
-	Metrics() map[string]int64
-	Sched() []OwnerSched
-	Close()
-
-	alloc(owner string, hooks allocHooks) (*pim.Rank, time.Duration, time.Duration, error)
-	threads() int
-	clusterStats() (ClusterStats, bool)
-}
-
-var (
-	_ Arbiter = (*Manager)(nil)
-	_ Arbiter = (*Cluster)(nil)
-)
-
-// Server exposes an Arbiter over a listener. The prototype's thread pool
+// Server exposes a Manager over a listener. The prototype's thread pool
 // (8 worker threads by default) bounds in-flight *requests*, not
 // connections: every connection gets its own reader goroutine, and a request
 // occupies a pool slot only while it is actively processed. An allocation
@@ -70,7 +45,7 @@ var (
 // duration of the wait, so any number of idle persistent clients — or
 // blocked allocations — can coexist with a small pool.
 type Server struct {
-	mgr Arbiter
+	mgr *Manager
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -80,12 +55,12 @@ type Server struct {
 	closed   bool
 }
 
-// NewServer wraps an arbiter (Manager or Cluster) for serving.
-func NewServer(mgr Arbiter) *Server {
+// NewServer wraps a manager for serving.
+func NewServer(mgr *Manager) *Server {
 	return &Server{
 		mgr:   mgr,
 		conns: make(map[net.Conn]struct{}),
-		slots: make(chan struct{}, mgr.threads()),
+		slots: make(chan struct{}, mgr.opts.Threads),
 	}
 }
 
@@ -186,6 +161,10 @@ func (s *Server) handleConn(conn net.Conn) {
 func (s *Server) dispatch(req Request) Response {
 	switch req.Op {
 	case "alloc":
+		if req.Owner == "" {
+			// An ownerless rank could never be released again.
+			return Response{Error: "alloc needs an owner"}
+		}
 		// While the allocation is parked in the manager's FIFO queue the
 		// request slot is handed back, so waiting allocations cannot starve
 		// the pool (releases must keep flowing to wake them).
@@ -203,7 +182,7 @@ func (s *Server) dispatch(req Request) Response {
 		if !ok {
 			return Response{Error: fmt.Sprintf("unknown rank %d", req.Rank)}
 		}
-		if err := s.mgr.Release(rank); err != nil {
+		if err := s.mgr.ReleaseOwned(req.Owner, rank); err != nil {
 			return Response{Error: err.Error()}
 		}
 		return Response{OK: true}
@@ -219,10 +198,7 @@ func (s *Server) dispatch(req Request) Response {
 	case "sched":
 		return Response{OK: true, Sched: s.mgr.Sched()}
 	case "cluster":
-		st, ok := s.mgr.clusterStats()
-		if !ok {
-			return Response{Error: "manager is not a cluster"}
-		}
+		st := s.mgr.Stats()
 		return Response{OK: true, Cluster: &st}
 	default:
 		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
@@ -371,80 +347,60 @@ func (c *Client) attemptLocked(req Request) (Response, error) {
 	return resp, nil
 }
 
+// call is roundTrip that also turns an error reply into an error.
+func (c *Client) call(req Request) (Response, error) {
+	resp, err := c.roundTrip(req)
+	if err == nil && !resp.OK {
+		err = errors.New(resp.Error)
+	}
+	return resp, err
+}
+
 // Alloc requests a rank for owner; it returns the rank index and the
 // modeled allocation latency. The call blocks while the daemon's manager
 // holds the request in its FIFO waiter queue.
 func (c *Client) Alloc(owner string) (int, time.Duration, error) {
-	resp, err := c.roundTrip(Request{Op: "alloc", Owner: owner})
+	resp, err := c.call(Request{Op: "alloc", Owner: owner})
 	if err != nil {
-		return 0, 0, err
-	}
-	if !resp.OK {
-		return 0, time.Duration(resp.LatencyNS), errors.New(resp.Error)
+		return 0, time.Duration(resp.LatencyNS), err
 	}
 	return resp.Rank, time.Duration(resp.LatencyNS), nil
 }
 
-// Release returns a rank by index.
-func (c *Client) Release(rank int) error {
-	resp, err := c.roundTrip(Request{Op: "release", Rank: rank})
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return errors.New(resp.Error)
-	}
-	return nil
+// Release returns owner's rank by index. The daemon refuses to release a
+// rank owner does not hold.
+func (c *Client) Release(owner string, rank int) error {
+	_, err := c.call(Request{Op: "release", Owner: owner, Rank: rank})
+	return err
 }
 
 // States fetches the rank table states.
 func (c *Client) States() ([]string, error) {
-	resp, err := c.roundTrip(Request{Op: "states"})
-	if err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, errors.New(resp.Error)
-	}
-	return resp.States, nil
+	resp, err := c.call(Request{Op: "states"})
+	return resp.States, err
 }
 
 // Metrics fetches the daemon's counter snapshot.
 func (c *Client) Metrics() (map[string]int64, error) {
-	resp, err := c.roundTrip(Request{Op: "metrics"})
-	if err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, errors.New(resp.Error)
-	}
-	return resp.Metrics, nil
+	resp, err := c.call(Request{Op: "metrics"})
+	return resp.Metrics, err
 }
 
 // Sched fetches per-owner residency and preemption statistics.
 func (c *Client) Sched() ([]OwnerSched, error) {
-	resp, err := c.roundTrip(Request{Op: "sched"})
-	if err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, errors.New(resp.Error)
-	}
-	return resp.Sched, nil
+	resp, err := c.call(Request{Op: "sched"})
+	return resp.Sched, err
 }
 
-// Cluster fetches the daemon's cluster topology and routing counters.
-// A single-manager daemon replies with an error: it is not a cluster.
+// Cluster fetches the daemon's pool topology and routing counters (one
+// row for an unsharded daemon).
 func (c *Client) Cluster() (ClusterStats, error) {
-	resp, err := c.roundTrip(Request{Op: "cluster"})
+	resp, err := c.call(Request{Op: "cluster"})
+	if err == nil && resp.Cluster == nil {
+		err = errors.New("manager: empty cluster reply")
+	}
 	if err != nil {
 		return ClusterStats{}, err
-	}
-	if !resp.OK {
-		return ClusterStats{}, errors.New(resp.Error)
-	}
-	if resp.Cluster == nil {
-		return ClusterStats{}, errors.New("manager: empty cluster reply")
 	}
 	return *resp.Cluster, nil
 }

@@ -246,7 +246,7 @@ func TestServerManyPersistentClients(t *testing.T) {
 					errs <- fmt.Errorf("%s iter %d: %w", owner, it, err)
 					return
 				}
-				if err := c.Release(idx); err != nil {
+				if err := c.Release(owner, idx); err != nil {
 					errs <- fmt.Errorf("%s iter %d release: %w", owner, it, err)
 					return
 				}
@@ -308,13 +308,13 @@ func TestServerFIFOOverSocket(t *testing.T) {
 				return
 			}
 			order <- i
-			if err := c.Release(idx); err != nil {
+			if err := c.Release(fmt.Sprintf("w%d", i), idx); err != nil {
 				t.Errorf("client %d release: %v", i, err)
 			}
 		}()
 		waitFor(t, fmt.Sprintf("client %d parked", i), func() bool { return mgr.Waiters() == i+1 })
 	}
-	if err := holder.Release(heldIdx); err != nil {
+	if err := holder.Release("holder", heldIdx); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
