@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/conformance"
 	"repro/internal/driver"
+	"repro/internal/obs"
 	"repro/internal/prim"
 	"repro/internal/vmm"
 )
@@ -96,30 +97,45 @@ func TestConformanceTimeSliced(t *testing.T) {
 	}
 }
 
-// TestChaosSchedReplayable runs each scheduler chaos seed twice
-// (preemption racing rank death, restore-target failure, migration under
-// time-slicing) and asserts the outcomes — step logs, counter snapshots,
-// per-owner scheduling stats — are identical.
-func TestChaosSchedReplayable(t *testing.T) {
-	seeds := []int64{3, 11, 29, 47, 101}
-	if testing.Short() || raceEnabled {
-		seeds = seeds[:3]
-	}
-	for _, seed := range seeds {
-		first, err := conformance.RunSchedChaos(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		second, err := conformance.RunSchedChaos(seed)
-		if err != nil {
-			t.Fatalf("seed %d replay: %v", seed, err)
-		}
-		if !reflect.DeepEqual(first, second) {
-			t.Fatalf("seed %d is not replayable:\n first: %+v\nsecond: %+v", seed, first, second)
-		}
-		t.Logf("seed %d: %d steps logged, preemptions=%d restores=%d quarantines=%d",
-			seed, len(first.Log), first.Manager["manager.preemptions"],
-			first.Manager["manager.restores"], first.Manager["manager.quarantines"])
+// TestChaosManagerReplayable runs each manager chaos seed twice and
+// asserts the outcomes — step log, counter snapshot, per-owner scheduling
+// rows and pool statistics — are identical: the seed is a complete
+// one-line reproduction of preemption racing rank death and restore
+// failure (one pool), and of pool deaths, failovers, rebalances and
+// cross-pool restores (three pools).
+func TestChaosManagerReplayable(t *testing.T) {
+	for _, sc := range []struct {
+		name  string
+		run   func(int64) (*conformance.ManagerOutcome, error)
+		seeds []int64
+		short int
+	}{
+		{"sched", conformance.RunSchedChaos, []int64{3, 11, 29, 47, 101}, 3},
+		{"cluster", conformance.RunClusterChaos, []int64{5, 17, 41, 89}, 2},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			seeds := sc.seeds
+			if testing.Short() || raceEnabled {
+				seeds = seeds[:sc.short]
+			}
+			for _, seed := range seeds {
+				first, err := sc.run(seed)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				second, err := sc.run(seed)
+				if err != nil {
+					t.Fatalf("seed %d replay: %v", seed, err)
+				}
+				if !reflect.DeepEqual(first, second) {
+					t.Fatalf("seed %d is not replayable:\n first: %+v\nsecond: %+v", seed, first, second)
+				}
+				m := obs.Aggregate(first.Metrics) // sums the per-pool counters
+				t.Logf("seed %d: %d steps logged, preemptions=%d restores=%d quarantines=%d rebalances=%d failovers=%d pool deaths=%d",
+					seed, len(first.Log), m["manager.preemptions"], m["manager.restores"], m["manager.quarantines"],
+					first.Stats.Rebalances, first.Stats.Failovers, first.Stats.ShardDeaths)
+			}
+		})
 	}
 }
 

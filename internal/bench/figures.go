@@ -218,11 +218,14 @@ type Fig13Export struct {
 }
 
 // Fig13Data runs the Fig. 13 experiment (checksum write-to-rank step
-// breakdown, vPIM-rust vs vPIM-C, plus the pipelined full variant whose
-// counter snapshot records the suppressed-exit/coalesced-IRQ savings, and
-// the broadcast variant — checksum pushes one shared buffer to every DPU,
-// so collapsing shrinks the Page/Ser/Deser lanes while T-data stays put)
-// and returns the structured export.
+// breakdown, vPIM-rust vs vPIM-C, plus the full variant and the two built
+// on it: the pipelined one, whose counter snapshot records the
+// suppressed-exit/coalesced-IRQ savings, and the broadcast one — checksum
+// pushes one shared buffer to every DPU, so collapsing shrinks the
+// Page/Ser/Deser lanes while T-data stays put) and returns the structured
+// export. The export leaves out backend.workers.busy: it counts shards
+// handed to the host worker pool, so it follows the host's CPU count and
+// would make the artifact differ between hosts.
 func (h *Harness) Fig13Data() (*Fig13Export, error) {
 	size := h.scaledSize(8 << 20)
 	exp := &Fig13Export{
@@ -232,7 +235,7 @@ func (h *Harness) Fig13Data() (*Fig13Export, error) {
 		SizePerDPU:  size,
 		Divisor:     h.cfg.ChecksumDivisor,
 	}
-	for _, variant := range []string{"vPIM-rust", "vPIM-C", "vPIM-pipe", "vPIM-bcast"} {
+	for _, variant := range []string{"vPIM-rust", "vPIM-C", "vPIM", "vPIM-pipe", "vPIM-bcast"} {
 		opts, err := vmm.Variant(variant)
 		if err != nil {
 			return nil, err
@@ -247,6 +250,7 @@ func (h *Harness) Fig13Data() (*Fig13Export, error) {
 			StepsNS:  make(map[string]int64, len(vp.Steps)),
 			Counters: vp.Counters,
 		}
+		delete(pt.Counters, "backend.workers.busy")
 		for st, d := range vp.Steps {
 			pt.StepsNS[st] = d.Nanoseconds()
 		}

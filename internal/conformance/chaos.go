@@ -63,43 +63,17 @@ type Outcome struct {
 	Clock    time.Duration
 }
 
-// fuse is a countdown fault trigger: inert for the first `after`
-// consultations, then firing on the next `hold` consultations.
-type fuse struct {
-	after int
-	hold  int
-}
-
-func (f *fuse) trip() bool {
-	if f == nil {
-		return false
-	}
-	if f.after > 0 {
-		f.after--
-		return false
-	}
-	if f.hold == 0 {
-		return false
-	}
-	f.hold--
-	return true
-}
-
-// chaosPlan is the compiled fault plan. All state is consulted and mutated
-// on the single goroutine driving the run, so the countdowns advance
-// deterministically with the stack's own activity (manager consultations,
-// submitted chains, translated pages, copied rows).
+// chaosPlan is the compiled fault plan: the manager fuses plus the
+// full-stack extras. All state is consulted and mutated on the single
+// goroutine driving the run, so the countdowns advance deterministically
+// with the stack's own activity (manager consultations, submitted chains,
+// translated pages, copied rows).
 type chaosPlan struct {
-	disabled bool
+	faultPlan
 
 	// mem is the chaos VM's guest RAM, set after boot; the metadata
 	// corruption modes write malformed values into live row metadata.
 	mem *hostmem.Memory
-
-	rankDead  map[int]*fuse
-	failReset *fuse
-	failCkpt  *fuse
-	failRest  *fuse
 
 	stallEvery int
 	stall      time.Duration
@@ -114,86 +88,44 @@ type chaosPlan struct {
 
 // compilePlan derives the whole fault plan from the seeded source. Every
 // draw is unconditional so the rand stream (and therefore the plan) depends
-// only on the seed.
+// only on the seed. A dead rank is consulted rarely once quarantined (one
+// revival probe per cleanup), so the death window stays short — long holds
+// would keep a rank out of service for most of the run. Checkpoint/restore
+// faults hit the migration path and the preemptive scheduler (a failed
+// restore quarantines the target; a failed checkpoint abandons the
+// preemption).
 func compilePlan(rng *rand.Rand) *chaosPlan {
-	p := &chaosPlan{rankDead: make(map[int]*fuse)}
-	// A dead rank is consulted rarely once quarantined (one revival probe
-	// per cleanup), so the death window stays short — long holds would
-	// keep a rank out of service for most of the run.
-	for r := 0; r < confRanks; r++ {
-		after, hold := 10+rng.Intn(120), 1+rng.Intn(3)
-		if rng.Intn(2) == 1 {
-			p.rankDead[r] = &fuse{after: after, hold: hold}
-		}
-	}
-	after, hold := rng.Intn(4), 1+rng.Intn(2)
-	if rng.Intn(2) == 1 {
-		p.failReset = &fuse{after: after, hold: hold}
-	}
-	// Checkpoint/restore faults hit the migration path and the preemptive
-	// scheduler (a failed restore quarantines the target; a failed
-	// checkpoint abandons the preemption).
-	after, hold = rng.Intn(6), 1+rng.Intn(2)
-	if rng.Intn(2) == 1 {
-		p.failCkpt = &fuse{after: after, hold: hold}
-	}
-	after, hold = rng.Intn(6), 1+rng.Intn(2)
-	if rng.Intn(2) == 1 {
-		p.failRest = &fuse{after: after, hold: hold}
-	}
+	p := &chaosPlan{faultPlan: drawFaultPlan(rng, confRanks, fuseDraw{
+		deadAfter: 10, deadSpan: 120, deadHolds: 3, deadOdds: 2, deadHit: 1, resetSpan: 4, ckptSpan: 6,
+	})}
 	p.stallEvery = 1 + rng.Intn(4)
 	p.stall = time.Duration(rng.Intn(2000)) * time.Microsecond
-	after, hold = 20+rng.Intn(600), 1+rng.Intn(3)
-	mode := rng.Intn(6)
-	if rng.Intn(2) == 1 {
-		p.chainFuse, p.chainMode = &fuse{after: after, hold: hold}, mode
-	}
-	after = rng.Intn(3000)
-	if rng.Intn(2) == 1 {
-		p.xlateFuse = &fuse{after: after, hold: 1}
-	}
-	after = rng.Intn(800)
-	if rng.Intn(2) == 1 {
-		p.copyFuse = &fuse{after: after, hold: 1}
-	}
+	after, hold, mode := 20+rng.Intn(600), 1+rng.Intn(3), rng.Intn(6)
+	p.chainFuse, p.chainMode = maybeFuse(after, hold, rng.Intn(2) == 1), mode
+	p.xlateFuse = maybeFuse(rng.Intn(3000), 1, rng.Intn(2) == 1)
+	p.copyFuse = maybeFuse(rng.Intn(800), 1, rng.Intn(2) == 1)
 	return p
 }
 
 func (p *chaosPlan) managerPolicy() *manager.FaultPolicy {
-	return &manager.FaultPolicy{
-		RankDead: func(rank int) bool {
-			return !p.disabled && p.rankDead[rank].trip()
-		},
-		FailReset: func(rank int) bool {
-			return !p.disabled && p.failReset.trip()
-		},
-		FailCheckpoint: func(rank int) bool {
-			return !p.disabled && p.failCkpt.trip()
-		},
-		FailRestore: func(rank int) bool {
-			return !p.disabled && p.failRest.trip()
-		},
-		AllocStall: func(owner string) time.Duration {
-			if p.disabled {
-				return 0
-			}
-			p.allocs++
-			if p.allocs%p.stallEvery == 0 {
-				return p.stall
-			}
+	pol := p.policy()
+	pol.AllocStall = func(owner string) time.Duration {
+		if p.disabled {
 			return 0
-		},
+		}
+		p.allocs++
+		if p.allocs%p.stallEvery == 0 {
+			return p.stall
+		}
+		return 0
 	}
+	return pol
 }
 
 func (p *chaosPlan) backendPolicy() *backend.FaultPolicy {
 	return &backend.FaultPolicy{
-		FailTranslate: func(gpa uint64) bool {
-			return !p.disabled && p.xlateFuse.trip()
-		},
-		FailCopy: func(dpu int) bool {
-			return !p.disabled && p.copyFuse.trip()
-		},
+		FailTranslate: func(gpa uint64) bool { return !p.disabled && p.xlateFuse.trip() },
+		FailCopy:      func(dpu int) bool { return !p.disabled && p.copyFuse.trip() },
 	}
 }
 
@@ -326,11 +258,12 @@ func RunChaos(cfg ChaosConfig) (*Outcome, error) {
 		// observer erases released ranks and retries quarantined ones, and
 		// the manager must converge — no rank still allocated, no waiter
 		// parked.
-		if derr := quiesce(vm, mgr, plan); derr != nil {
-			if ierr, ok := derr.(invariantError); ok {
-				return nil, fmt.Errorf("chaos seed %d after %s: %w", cfg.Seed, app.Name, ierr.err)
-			}
-			ao.DetachErr = derr.Error()
+		detachErr, err := quiesce(vm, mgr, plan)
+		if err != nil {
+			return nil, fmt.Errorf("chaos seed %d after %s: cleanup: %w", cfg.Seed, app.Name, err)
+		}
+		if detachErr != nil {
+			ao.DetachErr = detachErr.Error()
 		}
 		out.Apps = append(out.Apps, ao)
 	}
@@ -341,19 +274,13 @@ func RunChaos(cfg ChaosConfig) (*Outcome, error) {
 	return out, nil
 }
 
-// invariantError marks a quiesce failure that violates the robustness
-// contract (as opposed to a tolerated wedged-device detach error).
-type invariantError struct{ err error }
-
-func (e invariantError) Error() string { return e.err.Error() }
-
 // quiesce suspends the fault plan, detaches every device and converges the
-// manager. Detach failures are returned as plain errors (tolerated by the
-// caller); leaked ranks and parked waiters are invariantErrors.
-func quiesce(vm *vmm.VM, mgr *manager.Manager, plan *chaosPlan) error {
+// manager. It returns the first detach failure (a device wedged by an
+// earlier fault, tolerated by the caller) and, separately, a violation of
+// the convergence contract.
+func quiesce(vm *vmm.VM, mgr *manager.Manager, plan *chaosPlan) (detachErr, drainErr error) {
 	plan.disabled = true
 	defer func() { plan.disabled = false }()
-	var detachErr error
 	for _, f := range vm.Frontends() {
 		if err := f.Detach(vm.Timeline()); err != nil && detachErr == nil {
 			detachErr = fmt.Errorf("cleanup detach %s: %v", f.ID(), err)
@@ -361,16 +288,5 @@ func quiesce(vm *vmm.VM, mgr *manager.Manager, plan *chaosPlan) error {
 	}
 	mgr.ProcessResets()
 	mgr.RetryQuarantined()
-	for i, st := range mgr.States() {
-		if st == manager.StateALLO {
-			return invariantError{fmt.Errorf("cleanup: rank %d still ALLO (leaked allocation)", i)}
-		}
-	}
-	if n := mgr.Waiters(); n != 0 {
-		return invariantError{fmt.Errorf("cleanup: %d waiters still parked", n)}
-	}
-	if parked := mgr.Parked(); len(parked) != 0 {
-		return invariantError{fmt.Errorf("cleanup: snapshots still parked: %v", parked)}
-	}
-	return detachErr
+	return detachErr, checkDrained(mgr)
 }

@@ -70,16 +70,7 @@ func runClusterCell(app prim.App, cfg Config) (runResult, error) {
 	}
 
 	// Single-pool twin: identical machine, identical VM, unsharded manager.
-	mach2, mgr2, err := newMachine()
-	if err != nil {
-		return runResult{}, err
-	}
-	vm2, err := vmm.NewVM(mach2, mgr2, vmm.Config{
-		Name:    "conf",
-		VCPUs:   16,
-		VUPMEMs: confRanks,
-		Options: cfg.Opts,
-	})
+	vm2, mgr2, err := newVM("conf", cfg.Opts, confRanks)
 	if err != nil {
 		return runResult{}, err
 	}

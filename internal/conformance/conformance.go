@@ -6,12 +6,16 @@
 // output of a PIM application) while the observability counters satisfy the
 // stack's structural invariants.
 //
-// The package also houses the seeded chaos engine (chaos.go): a
-// deterministic fault plan compiled from a single seed drives rank deaths,
-// failed resets, allocation stalls, corrupted descriptor chains and
-// backend copy/translate failures through a full-stack run, asserting that
-// every application either completes with output identical to the fault-free
-// reference or fails cleanly — and that the same seed replays the same run.
+// The package also houses the seeded chaos engine. A deterministic fault
+// plan compiled from a single seed drives rank deaths, failed resets,
+// checkpoints and restores (faultPlan, shared by every chaos run) plus
+// allocation stalls, corrupted descriptor chains and backend copy/translate
+// failures through a full-stack run (chaos.go), asserting that every
+// application either completes with output identical to the fault-free
+// reference or fails cleanly. One manager-level loop (managerchaos.go)
+// tortures the rank manager directly, on one pool and on three. Every
+// chaos and time-slicing run ends on the same drain check (checkDrained),
+// and the same seed replays the same run.
 package conformance
 
 import (

@@ -708,16 +708,6 @@ func (m *Manager) MigrateOwned(owner string, from *pim.Rank) (*pim.Rank, time.Du
 	return rank, total, nil
 }
 
-// Migrate moves the tenant state of an allocated rank onto another
-// available rank of the same pool (see pool.Migrate).
-func (m *Manager) Migrate(from *pim.Rank) (*pim.Rank, time.Duration, error) {
-	p := m.byRank[from]
-	if p == nil || p.dead.Load() {
-		return nil, 0, fmt.Errorf("%w: migration source", ErrNotAllocated)
-	}
-	return p.Migrate(from)
-}
-
 // ---------------------------------------------------------------------------
 // Rebalancing and failure domains.
 

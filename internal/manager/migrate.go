@@ -7,10 +7,13 @@ import (
 	"repro/internal/pim"
 )
 
-// Migrate moves the tenant state of an allocated rank onto another
-// available rank and reassigns ownership: the dynamic workload
+// MigrateOwned moves the tenant state of owner's allocated rank onto
+// another available rank and reassigns ownership: the dynamic workload
 // consolidation mechanism the paper's conclusion proposes (checkpoint/
-// restore between launches, since UPMEM cannot pause a running task).
+// restore between launches, since UPMEM cannot pause a running task). It
+// refuses to move a rank that owner no longer holds (e.g. the tenant was
+// preempted and the rank reassigned between the owner deciding to migrate
+// and the call landing).
 //
 // On success the returned rank is ALLO for the same owner with identical
 // contents, and the source rank is NANA awaiting reset. The returned
@@ -19,21 +22,6 @@ import (
 // migration. On failure the duration covers whatever preparation work was
 // actually performed (a target reset, a checkpoint copy) — the caller owes
 // that time even though the migration did not happen.
-func (m *pool) Migrate(from *pim.Rank) (*pim.Rank, time.Duration, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	src := m.entryLocked(from)
-	if src == nil || src.state != StateALLO {
-		return nil, 0, fmt.Errorf("%w: migration source", ErrNotAllocated)
-	}
-	return m.migrateLocked(src)
-}
-
-// MigrateOwned is Migrate with an ownership check: it refuses to move a
-// rank that owner no longer holds (e.g. the tenant was preempted and the
-// rank reassigned between the owner deciding to migrate and the call
-// landing). Callers that cache rank pointers across manager calls must use
-// this form.
 func (m *pool) MigrateOwned(owner string, from *pim.Rank) (*pim.Rank, time.Duration, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -41,14 +29,9 @@ func (m *pool) MigrateOwned(owner string, from *pim.Rank) (*pim.Rank, time.Durat
 	if src == nil || src.state != StateALLO || src.owner != owner {
 		return nil, 0, fmt.Errorf("%w: migration source (owner %s)", ErrNotAllocated, owner)
 	}
-	return m.migrateLocked(src)
-}
-
-func (m *pool) migrateLocked(src *entry) (*pim.Rank, time.Duration, error) {
 	if src.pins > 0 {
 		return nil, 0, fmt.Errorf("%w: rank %d has an operation in flight", ErrRankBusy, src.rank.Index())
 	}
-	from := src.rank
 
 	// Pick a destination: prefer clean NAAV ranks, fall back to resetting
 	// a NANA rank. Dead or reset-failing targets are quarantined and
